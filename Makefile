@@ -17,7 +17,7 @@ COVER_FLOOR_INGEST ?= 85
 COVER_FLOOR_QOE   ?= 80
 COVER_FLOOR_ALERT ?= 80
 
-.PHONY: all vet staticcheck build test race fuzz-smoke cover bench bench-json bench-check proto-list trace-smoke impair-smoke shard-smoke daemon-smoke ci
+.PHONY: all vet staticcheck build test race fuzz-smoke cover bench bench-json bench-check proto-list trace-smoke impair-smoke shard-smoke daemon-smoke e2ebench-vet ci
 
 all: build
 
@@ -36,6 +36,14 @@ staticcheck:
 
 build:
 	$(GO) build ./...
+
+# The end-to-end benchmark is its own module (e2ebench/go.mod, with a
+# replace back to this repo), so `go build ./...` above skips it. Vet
+# it against the working tree so an API change cannot silently break
+# the benchmark. It needs no download: the module requires only this
+# repo.
+e2ebench-vet:
+	cd e2ebench && GOFLAGS=-mod=readonly GOPROXY=off $(GO) vet .
 
 test:
 	$(GO) test ./...
@@ -154,4 +162,4 @@ bench-check:
 proto-list:
 	$(GO) run ./cmd/rtccheck -protocols
 
-ci: vet staticcheck build race fuzz-smoke cover trace-smoke impair-smoke shard-smoke daemon-smoke bench-check
+ci: vet staticcheck build e2ebench-vet race fuzz-smoke cover trace-smoke impair-smoke shard-smoke daemon-smoke bench-check

@@ -630,8 +630,8 @@ func BenchmarkAnalyzePCAP_Batch(b *testing.B) {
 		a, err := rtcc.NewAnalyzer(rtcc.AnalyzerConfig{
 			Label: "zoom", LinkType: pcap.LinkTypeRaw,
 			CallStart: cap.CallStart, CallEnd: cap.CallEnd,
-			KeepPayloads: true, FramesStable: true,
-		}, rtcc.Options{SkipFindings: true})
+			FramesStable: true,
+		}, rtcc.Options{SkipFindings: true, KeepPayloads: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -190,6 +190,7 @@ func (p *Prepared) RunOnce() (time.Duration, error) {
 		CallStart: p.start,
 		CallEnd:   p.end,
 	}
+	opts := core.Options{SkipFindings: true, Workers: 1}
 	switch p.Scenario.Mode {
 	case ModeFeedBatch:
 		cfg.Pool = bufpool.Global()
@@ -200,10 +201,10 @@ func (p *Prepared) RunOnce() (time.Duration, error) {
 		cfg.Pool = bufpool.Global()
 		return p.runSharded(cfg)
 	case ModeBatch:
-		cfg.KeepPayloads = true
+		opts.KeepPayloads = true
 		cfg.FramesStable = true
 	}
-	a, err := core.NewAnalyzer(cfg, core.Options{SkipFindings: true, Workers: 1})
+	a, err := core.NewAnalyzer(cfg, opts)
 	if err != nil {
 		return 0, err
 	}

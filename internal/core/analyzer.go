@@ -18,49 +18,34 @@ import (
 	"github.com/rtc-compliance/rtcc/internal/tlsinspect"
 )
 
-// AnalyzerConfig parameterizes one streaming analysis.
+// AnalyzerConfig describes the frames one streaming analysis is fed.
+// Retention and eviction are analysis settings and live on Options
+// (KeepPayloads, EvictIdle).
 type AnalyzerConfig struct {
 	// Label names the application (or capture) in reports.
 	Label string
 	// LinkType describes the fed frames.
 	LinkType pcap.LinkType
-	// CallStart and CallEnd delimit the annotated call window.
+	// CallStart and CallEnd delimit the annotated call window. A zero
+	// CallStart defaults the window to the span of the fed timestamps
+	// at Close — the convention for unannotated captures. Until Close
+	// the window is then unknown, so only window-independent filter
+	// rules run online.
 	CallStart, CallEnd time.Time
-	// DefaultWindowToSpan defaults the call window, when CallStart is
-	// zero, to the span of the fed timestamps at Close — the AnalyzePCAP
-	// convention for unannotated captures. Until Close the window is
-	// then unknown, so only window-independent filter rules run online.
-	DefaultWindowToSpan bool
-	// KeepPayloads retains every per-packet record, making Close's
-	// result bit-identical to the historical batch output including the
-	// buffered stream payloads (which rtcc.Analyze callers may consume).
-	// Without it, payload records are kept only for provisionally-RTC
-	// UDP streams until their DPI finalization and dropped afterwards.
-	KeepPayloads bool
 	// FramesStable promises that fed frame buffers stay valid and
 	// unmodified for the Analyzer's lifetime, letting it reference
 	// payload bytes instead of copying them. Readers that reuse their
 	// frame buffer must leave it false.
 	FramesStable bool
-	// EvictIdle, when positive, finalizes the pipeline state of streams
-	// idle for longer than this: their buffered payloads are inspected,
-	// checked, and released, so resident memory is bounded by the
-	// active streams. A stream that wakes up again resumes its
-	// per-stream contexts. Eviction trades the strict batch guarantee
-	// of one DPI pass over the whole stream for bounded memory: output
-	// is still deterministic, and differs from batch only when an RTP
-	// SSRC first validates in a later chunk than it was sighted in.
-	// Incompatible with KeepPayloads.
-	EvictIdle time.Duration
 	// Pool, when non-nil, copies kept UDP payloads into per-stream
 	// arenas drawn from this pool instead of heap-allocating each copy,
 	// and releases a stream's arena when its payloads are dropped (an
 	// online filter removal, a chunk finalization, or Close). Together
 	// with FeedBatch this makes the steady-state datagram path
 	// allocation-free. Ownership rules are in DESIGN.md §14.
-	// Incompatible with KeepPayloads (the batch result would retain
-	// released buffers); ignored when FramesStable promises stable
-	// frames (nothing is copied then).
+	// Incompatible with Options.KeepPayloads (the batch result would
+	// retain released buffers); ignored when FramesStable promises
+	// stable frames (nothing is copied then).
 	Pool *bufpool.Pool
 	// ExternalSeq makes FeedBatch take each datagram's arrival index
 	// from its Seq field instead of the Analyzer's own feed counter.
@@ -68,8 +53,7 @@ type AnalyzerConfig struct {
 	// capture-global sequence on every datagram before fanning out, so
 	// each shard records where its streams sit in the global arrival
 	// order and MergeAnalyzers can rebuild the serial stream-table
-	// order exactly. Feed is a misuse error under ExternalSeq: it
-	// carries no Seq to consume.
+	// order exactly.
 	ExternalSeq bool
 }
 
@@ -108,11 +92,10 @@ type streamState struct {
 	inList     bool
 	// checkSeq is the Analyzer.feedSeq value at the stream's last
 	// per-feed maintenance (recency bump, online-filter re-check).
-	// Feed bumps feedSeq per packet, FeedBatch per batch, so batching
-	// amortizes that maintenance to once per stream per batch — an
-	// output-neutral change, because every online filter rule is
-	// monotone and eviction/removal timing only moves chunk
-	// boundaries.
+	// FeedBatch bumps feedSeq per batch, so batching amortizes that
+	// maintenance to once per stream per batch — an output-neutral
+	// change, because every online filter rule is monotone and
+	// eviction/removal timing only moves chunk boundaries.
 	checkSeq uint64
 	// birth is the arrival index of the datagram that created this
 	// stream. Under ExternalSeq it is capture-global, which is what
@@ -121,12 +104,13 @@ type streamState struct {
 	birth uint64
 }
 
-// Analyzer is the incremental analysis pipeline: Feed advances packet
-// decoding, flow grouping, online filtering, and DPI per frame; Close
-// reconciles the online filter verdicts against the full two-stage
-// filter and assembles the CaptureAnalysis. With KeepPayloads (and no
-// eviction) the result is byte-identical to the batch pipeline; the
-// offline entry points are thin wrappers over this type.
+// Analyzer is the incremental analysis pipeline: FeedBatch advances
+// packet decoding, flow grouping, online filtering, and DPI per frame;
+// Close reconciles the online filter verdicts against the full
+// two-stage filter and assembles the CaptureAnalysis. With
+// Options.KeepPayloads (and no eviction) the result is byte-identical
+// to the batch pipeline; the offline entry points are thin wrappers
+// over this type.
 type Analyzer struct {
 	cfg  AnalyzerConfig
 	opts Options
@@ -143,8 +127,7 @@ type Analyzer struct {
 	// the same stream and skip both map lookups.
 	lastKey flow.Key
 	lastSt  *streamState
-	// feedSeq numbers feed calls (one Feed or one FeedBatch each); see
-	// streamState.checkSeq.
+	// feedSeq numbers FeedBatch calls; see streamState.checkSeq.
 	feedSeq uint64
 
 	frames     int
@@ -159,11 +142,10 @@ type Analyzer struct {
 	arrival           uint64
 	firstSeq, lastSeq uint64
 
-	// windowKnown is false only while DefaultWindowToSpan defers the
+	// windowKnown is false only while a zero CallStart defers the
 	// window to Close.
 	windowKnown      bool
 	winStart, winEnd time.Time
-	blocklist        []string
 	// preCallPairs accumulates address pairs active before CallStart,
 	// the stage-2 local-IP rule's evidence.
 	preCallPairs map[[2]netip.Addr]bool
@@ -171,8 +153,8 @@ type Analyzer struct {
 	active, peak int
 	closed       bool
 
-	// pkt is decode scratch: Feed is single-goroutine, so one reusable
-	// Packet removes the per-frame layer allocations.
+	// pkt is decode scratch: feeding is single-goroutine, so one
+	// reusable Packet removes the per-frame layer allocations.
 	pkt layers.Packet
 
 	// trace is the capture's decision-trace context (nil when
@@ -190,52 +172,36 @@ func NewAnalyzer(cfg AnalyzerConfig, opts Options) (*Analyzer, error) {
 	if cfg.CallEnd.Before(cfg.CallStart) {
 		return nil, errors.New("core: call window end precedes start")
 	}
-	if cfg.EvictIdle > 0 && cfg.KeepPayloads {
+	if opts.EvictIdle > 0 && opts.KeepPayloads {
 		return nil, errors.New("core: KeepPayloads is incompatible with EvictIdle")
 	}
-	if cfg.Pool != nil && cfg.KeepPayloads {
+	if cfg.Pool != nil && opts.KeepPayloads {
 		return nil, errors.New("core: KeepPayloads is incompatible with Pool (the batch result would retain released buffers)")
 	}
-	fcfg := filterpipe.Config{WindowSlack: opts.WindowSlack, SNIBlocklist: opts.SNIBlocklist}
 	a := &Analyzer{
 		cfg:          cfg,
 		opts:         opts,
 		table:        flow.NewTable(),
 		states:       make(map[flow.Key]*streamState),
 		engine:       opts.engine(),
-		blocklist:    fcfg.Blocklist(),
 		preCallPairs: make(map[[2]netip.Addr]bool),
-		trace:        obs.New(opts.Tracer, cfg.Label, opts.TraceSampling, opts.Metrics),
+		trace:        obs.New(opts.Tracer, cfg.Label, obs.Sampling{}, opts.Metrics),
 		am:           newAnalyzerMetrics(opts.Metrics, cfg.Label),
 	}
-	a.windowKnown = !(cfg.DefaultWindowToSpan && cfg.CallStart.IsZero())
+	a.windowKnown = !cfg.CallStart.IsZero()
 	if a.windowKnown {
-		slack := fcfg.Slack()
-		a.winStart = cfg.CallStart.Add(-slack)
-		a.winEnd = cfg.CallEnd.Add(slack)
+		a.winStart = cfg.CallStart.Add(-filterpipe.DefaultWindowSlack)
+		a.winEnd = cfg.CallEnd.Add(filterpipe.DefaultWindowSlack)
 	}
 	return a, nil
 }
 
-// Feed advances the pipeline by one captured frame. Decode failures are
-// tolerated and counted, exactly as in the batch path; the returned
-// error is reserved for misuse (feeding a closed Analyzer).
+// Feed advances the pipeline by one captured frame: a one-element
+// FeedBatch. Decode failures are tolerated and counted, exactly as in
+// the batch path; the returned error is reserved for misuse (feeding a
+// closed Analyzer).
 func (a *Analyzer) Feed(ts time.Time, frame []byte) error {
-	if a.closed {
-		return errors.New("core: Feed after Close")
-	}
-	if a.cfg.ExternalSeq {
-		return errors.New("core: Feed requires FeedBatch under ExternalSeq (no Seq to consume)")
-	}
-	start := a.am.feedSeconds.Start()
-	defer a.am.feedSeconds.ObserveSince(start)
-	a.feedSeq++
-	a.arrival++
-	a.feedOne(ts, frame, a.arrival)
-	if a.cfg.EvictIdle > 0 {
-		a.evictIdle(ts)
-	}
-	return nil
+	return a.FeedBatch([]Datagram{{Timestamp: ts, Frame: frame}})
 }
 
 // Datagram is one captured frame with its timestamp, the unit of
@@ -251,10 +217,11 @@ type Datagram struct {
 }
 
 // FeedBatch advances the pipeline over a slice of frames, amortizing
-// the per-packet overhead Feed cannot avoid (the feed-latency probe
-// and the per-call bookkeeping) and giving the same-stream fast path
-// its best hit rate. Output is identical to feeding the datagrams one
-// at a time — batching changes scheduling, never results.
+// the per-call overhead (the feed-latency probe, the per-stream
+// maintenance, the eviction walk) over the batch and giving the
+// same-stream fast path its best hit rate. Output is identical to
+// feeding the datagrams one at a time — batching changes scheduling,
+// never results.
 //
 // Unless FramesStable is set, every frame is copied out (to the pool's
 // arenas in pool mode) before FeedBatch returns, so the caller may
@@ -277,7 +244,7 @@ func (a *Analyzer) FeedBatch(batch []Datagram) error {
 		}
 		a.feedOne(batch[i].Timestamp, batch[i].Frame, seq)
 	}
-	if a.cfg.EvictIdle > 0 {
+	if a.opts.EvictIdle > 0 {
 		a.evictIdle(batch[len(batch)-1].Timestamp)
 	}
 	a.am.feedSeconds.ObserveSince(start)
@@ -285,8 +252,8 @@ func (a *Analyzer) FeedBatch(batch []Datagram) error {
 	return nil
 }
 
-// feedOne is the shared per-frame pipeline step behind Feed and
-// FeedBatch: decode, flow grouping, online filtering, and DPI pass 1.
+// feedOne is FeedBatch's per-frame pipeline step: decode, flow
+// grouping, online filtering, and DPI pass 1.
 func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 	if a.frames == 0 {
 		a.firstTS = ts
@@ -319,7 +286,7 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 	// Retention: batch compatibility keeps everything; otherwise only
 	// provisionally-RTC UDP streams need their records (payload for
 	// DPI, timestamp for compliance, direction for findings).
-	keep := a.cfg.KeepPayloads || (proto == layers.IPProtocolUDP && (isNew || !st.removed))
+	keep := a.opts.KeepPayloads || (proto == layers.IPProtocolUDP && (isNew || !st.removed))
 	if keep && !a.cfg.FramesStable {
 		if a.cfg.Pool != nil {
 			// Pool mode: the copy lands in the stream's arena, which
@@ -380,7 +347,7 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 		}
 	}
 
-	// Per-feed maintenance, once per stream per Feed/FeedBatch call:
+	// Per-feed maintenance, once per stream per FeedBatch call:
 	// recency ordering and the online-filter re-check. Both are
 	// output-neutral at any granularity (filter rules are monotone,
 	// removal and eviction timing only move chunk boundaries), so a
@@ -398,7 +365,7 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 		}
 		if !st.removed && a.removableNow(s, st) {
 			st.removed = true
-			if !a.cfg.KeepPayloads {
+			if !a.opts.KeepPayloads {
 				s.Packets = nil
 			}
 			st.insp = nil
@@ -480,7 +447,7 @@ func (a *Analyzer) removableNow(s *flow.Stream, st *streamState) bool {
 	if filterpipe.NonRTCPorts[s.Key.A.Port] || filterpipe.NonRTCPorts[s.Key.B.Port] {
 		return true
 	}
-	if st.sniOK && filterpipe.MatchesBlocklist(st.sni, a.blocklist) {
+	if st.sniOK && filterpipe.MatchesBlocklist(st.sni, filterpipe.DefaultSNIBlocklist) {
 		return true
 	}
 	if !a.windowKnown {
@@ -507,7 +474,7 @@ func (a *Analyzer) removableNow(s *flow.Stream, st *streamState) bool {
 // threshold, walking the recency list from its least-recent end.
 func (a *Analyzer) evictIdle(now time.Time) {
 	for st := a.recHead; st != nil; {
-		if now.Sub(st.s.LastSeen) <= a.cfg.EvictIdle {
+		if now.Sub(st.s.LastSeen) <= a.opts.EvictIdle {
 			break
 		}
 		next := st.next
@@ -537,11 +504,12 @@ func (a *Analyzer) finalizeChunk(st *streamState) {
 		recs := s.Packets
 		results := st.insp.Finalize()
 		st.partial.consume(recs, results, st.session, a.opts.SkipFindings)
-		// Eviction happens during the single-goroutine Feed, so flushing
-		// here is a deterministic export point for the chunk's events.
+		// Eviction happens during the single-goroutine FeedBatch, so
+		// flushing here is a deterministic export point for the chunk's
+		// events.
 		st.span.Flush()
 	}
-	if !a.cfg.KeepPayloads {
+	if !a.opts.KeepPayloads {
 		a.dropRecords(s)
 	}
 	if st.arena != nil {
@@ -586,7 +554,7 @@ func (a *Analyzer) Close() (*CaptureAnalysis, error) {
 // is literally this code path either way.
 func (a *Analyzer) finalize() (*CaptureAnalysis, error) {
 	callStart, callEnd := a.cfg.CallStart, a.cfg.CallEnd
-	if a.cfg.DefaultWindowToSpan && callStart.IsZero() && a.frames > 0 {
+	if callStart.IsZero() && a.frames > 0 {
 		callStart, callEnd = a.firstTS, a.lastTS
 	}
 	if a.table.Len() == 0 && a.frames > 0 {
@@ -601,12 +569,10 @@ func (a *Analyzer) finalize() (*CaptureAnalysis, error) {
 	cm.workers.Set(int64(a.opts.workers()))
 
 	fres := filterpipe.RunWithSNI(a.table, filterpipe.Config{
-		CallStart:    callStart,
-		CallEnd:      callEnd,
-		WindowSlack:  a.opts.WindowSlack,
-		SNIBlocklist: a.opts.SNIBlocklist,
-		Metrics:      a.opts.Metrics,
-		Trace:        a.trace,
+		CallStart: callStart,
+		CallEnd:   callEnd,
+		Metrics:   a.opts.Metrics,
+		Trace:     a.trace,
 	}, func(s *flow.Stream) (string, bool) {
 		st := a.states[s.Key]
 		if st == nil {
@@ -645,7 +611,7 @@ func (a *Analyzer) finalize() (*CaptureAnalysis, error) {
 			st.partial = nil
 			st.span = nil
 		}
-		if !a.cfg.KeepPayloads {
+		if !a.opts.KeepPayloads {
 			s.Packets = nil
 		}
 		if st.arena != nil {
@@ -702,7 +668,7 @@ func (a *Analyzer) finishStream(s *flow.Stream) *streamPartial {
 	if st.insp != nil && st.insp.Pending() > 0 {
 		st.partial.consume(s.Packets, st.insp.Finalize(), st.session, a.opts.SkipFindings)
 	}
-	if !a.cfg.KeepPayloads {
+	if !a.opts.KeepPayloads {
 		s.Packets = nil
 	}
 	if st.arena != nil {

@@ -82,12 +82,12 @@ func FuzzFeedBatch(f *testing.F) {
 			LinkType:  pcap.LinkTypeRaw,
 			CallStart: start,
 			CallEnd:   end,
-			EvictIdle: 5 * time.Millisecond,
 		}
+		opts := Options{Workers: 1, EvictIdle: 5 * time.Millisecond}
 		ts := func(i int) time.Time { return start.Add(time.Duration(i) * time.Millisecond) }
 
 		// Reference: unpooled, one Feed per frame.
-		ref, err := NewAnalyzer(cfg, Options{Workers: 1})
+		ref, err := NewAnalyzer(cfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func FuzzFeedBatch(f *testing.F) {
 		defer bufpool.EnablePoison(bufpool.EnablePoison(true))
 		pcfg := cfg
 		pcfg.Pool = bufpool.Global()
-		sub, err := NewAnalyzer(pcfg, Options{Workers: 1})
+		sub, err := NewAnalyzer(pcfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

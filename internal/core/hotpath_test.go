@@ -58,7 +58,7 @@ var (
 )
 
 // TestHotPathAllocs pins each pipeline stage, then the whole pooled
-// FeedBatch path, to 0 allocs/op.
+// FeedBatch and Feed paths, to 0 allocs/op.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under -race; allocation counts are not stable")
@@ -178,61 +178,75 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 	})
 
-	t.Run("feedbatch-end-to-end", func(t *testing.T) {
-		defer bufpool.EnablePoison(bufpool.EnablePoison(true))
-		a, err := NewAnalyzer(AnalyzerConfig{
-			Label:     "hotpath",
-			LinkType:  pcap.LinkTypeRaw,
-			CallStart: time.Unix(1700000000, 0),
-			CallEnd:   time.Unix(1700000000, 0).Add(time.Hour),
-			EvictIdle: time.Millisecond,
-			Pool:      bufpool.Global(),
-		}, Options{SkipFindings: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Two streams alternate batches with gaps above EvictIdle, so
-		// each batch finalizes the other stream's chunk and recycles its
-		// arena — the steady state the pool exists for.
-		const batchLen = 64
-		mkBatch := func(dst netip.Addr, ssrc uint32) []Datagram {
-			b := make([]Datagram, batchLen)
-			for i := range b {
-				b[i].Frame = hotRTPFrame(hotSrc, dst, 50000, 4444, ssrc, 0)
-			}
-			return b
-		}
-		batches := [2][]Datagram{mkBatch(hotDst, 0xbeef), mkBatch(hotAlt, 0xcafe)}
-		seqs := [2]uint16{}
-		ts := time.Unix(1700000000, 0).Add(time.Second)
-		turn := 0
-		feed := func() {
-			b := batches[turn]
-			for i := range b {
-				patchSeq(b[i].Frame, seqs[turn])
-				seqs[turn]++
-				ts = ts.Add(50 * time.Microsecond)
-				b[i].Timestamp = ts
-			}
-			ts = ts.Add(5 * time.Millisecond) // idle the stream past EvictIdle
-			if err := a.FeedBatch(b); err != nil {
+	// The assembled pooled path, batched and per frame: Feed is a
+	// one-element FeedBatch and must stay as allocation-free.
+	for _, tc := range []struct {
+		name    string
+		batched bool
+	}{{"feedbatch-end-to-end", true}, {"feed-end-to-end", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer bufpool.EnablePoison(bufpool.EnablePoison(true))
+			a, err := NewAnalyzer(AnalyzerConfig{
+				Label:     "hotpath",
+				LinkType:  pcap.LinkTypeRaw,
+				CallStart: time.Unix(1700000000, 0),
+				CallEnd:   time.Unix(1700000000, 0).Add(time.Hour),
+				Pool:      bufpool.Global(),
+			}, Options{SkipFindings: true, EvictIdle: time.Millisecond})
+			if err != nil {
 				t.Fatal(err)
 			}
-			turn = 1 - turn
-		}
-		// Warm-up: create both streams, validate SSRCs, run several
-		// eviction/wake cycles to size every arena and scratch buffer.
-		for i := 0; i < 12; i++ {
-			feed()
-		}
-		allocs := testing.AllocsPerRun(100, feed)
-		if perPkt := allocs / batchLen; perPkt != 0 {
-			t.Errorf("pooled FeedBatch allocates %.3f/packet (%.1f/batch), want 0", perPkt, allocs)
-		}
-		if _, err := a.Close(); err != nil {
-			t.Fatal(err)
-		}
-	})
+			// Two streams alternate batches with gaps above EvictIdle, so
+			// each batch finalizes the other stream's chunk and recycles
+			// its arena — the steady state the pool exists for.
+			const batchLen = 64
+			mkBatch := func(dst netip.Addr, ssrc uint32) []Datagram {
+				b := make([]Datagram, batchLen)
+				for i := range b {
+					b[i].Frame = hotRTPFrame(hotSrc, dst, 50000, 4444, ssrc, 0)
+				}
+				return b
+			}
+			batches := [2][]Datagram{mkBatch(hotDst, 0xbeef), mkBatch(hotAlt, 0xcafe)}
+			seqs := [2]uint16{}
+			ts := time.Unix(1700000000, 0).Add(time.Second)
+			turn := 0
+			feed := func() {
+				b := batches[turn]
+				for i := range b {
+					patchSeq(b[i].Frame, seqs[turn])
+					seqs[turn]++
+					ts = ts.Add(50 * time.Microsecond)
+					b[i].Timestamp = ts
+				}
+				ts = ts.Add(5 * time.Millisecond) // idle the stream past EvictIdle
+				if tc.batched {
+					if err := a.FeedBatch(b); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					for i := range b {
+						if err := a.Feed(b[i].Timestamp, b[i].Frame); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				turn = 1 - turn
+			}
+			// Warm-up: create both streams, validate SSRCs, run several
+			// eviction/wake cycles to size every arena and scratch buffer.
+			for i := 0; i < 12; i++ {
+				feed()
+			}
+			allocs := testing.AllocsPerRun(100, feed)
+			if perPkt := allocs / batchLen; perPkt != 0 {
+				t.Errorf("pooled %s allocates %.3f/packet (%.1f/batch), want 0", tc.name, perPkt, allocs)
+			}
+			if _, err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // TestFeedBatchPoisonHammer drives 16 per-shard analyzers concurrently

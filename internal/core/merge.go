@@ -58,8 +58,7 @@ func MergeAnalyzers(shards []*Analyzer) (*CaptureAnalysis, error) {
 		c, b := sh.cfg, base.cfg
 		if c.Label != b.Label || c.LinkType != b.LinkType ||
 			!c.CallStart.Equal(b.CallStart) || !c.CallEnd.Equal(b.CallEnd) ||
-			c.DefaultWindowToSpan != b.DefaultWindowToSpan ||
-			c.KeepPayloads != b.KeepPayloads || c.ExternalSeq != b.ExternalSeq {
+			c.ExternalSeq != b.ExternalSeq || sh.opts.KeepPayloads != base.opts.KeepPayloads {
 			return nil, fmt.Errorf("core: MergeAnalyzers: shard %d config differs from shard 0", i+1)
 		}
 	}

@@ -31,10 +31,6 @@ import (
 type Options struct {
 	// MaxOffset is the DPI's k parameter; zero selects the paper's 200.
 	MaxOffset int
-	// WindowSlack is forwarded to the filter; zero selects the default.
-	WindowSlack time.Duration
-	// SNIBlocklist overrides the default blocklist when non-nil.
-	SNIBlocklist []string
 	// SkipFindings disables the behavioural-findings detectors.
 	SkipFindings bool
 	// Workers bounds the analysis worker pool. RunMatrix fans capture
@@ -51,16 +47,24 @@ type Options struct {
 	// collection never changes analysis output: counters are atomic
 	// order-independent sums, identical for serial and parallel runs.
 	Metrics *metrics.Registry
-	// KeepPayloads makes AnalyzePCAP retain per-packet payload records
-	// in the result (as AnalyzeCapture always does). Off by default:
-	// the streaming reader then holds payload bytes only for
-	// provisionally-RTC UDP streams until DPI consumes them. Turn it on
-	// when the caller reads Filter.RTC[i].Packets afterwards.
+	// KeepPayloads retains every per-packet record, making Close's
+	// result bit-identical to the historical batch output including the
+	// buffered stream payloads (Filter.RTC[i].Packets). Off by default:
+	// the Analyzer then keeps payload records only for
+	// provisionally-RTC UDP streams until their DPI finalization and
+	// drops them afterwards. AnalyzeCapture always keeps them.
+	// Incompatible with EvictIdle and with AnalyzerConfig.Pool.
 	KeepPayloads bool
-	// EvictIdle bounds AnalyzePCAP's resident memory: streams idle
-	// longer than this are finalized mid-capture and their buffers
-	// released (see AnalyzerConfig.EvictIdle for the trade-off). Zero
-	// keeps the strict single-finalization behavior.
+	// EvictIdle, when positive, finalizes the pipeline state of streams
+	// idle for longer than this: their buffered payloads are inspected,
+	// checked, and released, so resident memory is bounded by the
+	// active streams. A stream that wakes up again resumes its
+	// per-stream contexts. Eviction trades the strict batch guarantee
+	// of one DPI pass over the whole stream for bounded memory: output
+	// is still deterministic, and differs from batch only when an RTP
+	// SSRC first validates in a later chunk than it was sighted in.
+	// Zero (the default, and always for AnalyzeCapture) keeps the
+	// strict single-finalization behavior.
 	EvictIdle time.Duration
 	// Registry selects the protocol-driver set the whole pipeline —
 	// DPI extraction, compliance judging, findings observation — runs
@@ -78,10 +82,6 @@ type Options struct {
 	// not trace (its captures are analyzed concurrently and would
 	// interleave on one sink); trace single captures.
 	Tracer obs.Tracer
-	// TraceSampling bounds each stream span's event retention (zero
-	// selects the defaults; see obs.Sampling). Failing verdicts always
-	// bypass sampling.
-	TraceSampling obs.Sampling
 	// QoE, when non-nil, runs the header-free QoE estimator over every
 	// final-RTC UDP stream (frame rate, bitrate, inter-frame gap
 	// jitter, stall heuristic from datagram sizes and timings only; see
@@ -132,16 +132,17 @@ type CaptureAnalysis struct {
 
 // AnalyzeCapture runs the full pipeline over one in-memory capture by
 // feeding the streaming Analyzer frame by frame. The frames are
-// referenced, not copied, and per-packet records are retained, so the
-// result is identical to the historical batch pipeline (which
+// referenced, not copied, and per-packet records are retained with no
+// eviction (opts.KeepPayloads and opts.EvictIdle are overridden), so
+// the result is identical to the historical batch pipeline (which
 // BatchAnalyzeCapture preserves as the differential-test reference).
 func AnalyzeCapture(in CaptureInput, opts Options) (*CaptureAnalysis, error) {
+	opts.KeepPayloads, opts.EvictIdle = true, 0
 	a, err := NewAnalyzer(AnalyzerConfig{
 		Label:        in.Label,
 		LinkType:     in.LinkType,
 		CallStart:    in.CallStart,
 		CallEnd:      in.CallEnd,
-		KeepPayloads: true,
 		FramesStable: true,
 	}, opts)
 	if err != nil {
@@ -188,11 +189,9 @@ func BatchAnalyzeCapture(in CaptureInput, opts Options) (*CaptureAnalysis, error
 	cm.workers.Set(int64(opts.workers()))
 
 	fres := filterpipe.Run(table, filterpipe.Config{
-		CallStart:    in.CallStart,
-		CallEnd:      in.CallEnd,
-		WindowSlack:  opts.WindowSlack,
-		SNIBlocklist: opts.SNIBlocklist,
-		Metrics:      opts.Metrics,
+		CallStart: in.CallStart,
+		CallEnd:   in.CallEnd,
+		Metrics:   opts.Metrics,
 	})
 
 	ca := &CaptureAnalysis{
@@ -516,14 +515,7 @@ func StreamCapture(r io.Reader, open func(pcap.LinkType) (FrameSink, error)) (*C
 // finalized. A zero callStart defaults the call window to the
 // capture's span.
 func AnalyzePCAP(r io.Reader, label string, callStart, callEnd time.Time, opts Options) (*CaptureAnalysis, error) {
-	cfg := AnalyzerConfig{
-		Label:               label,
-		CallStart:           callStart,
-		CallEnd:             callEnd,
-		DefaultWindowToSpan: true,
-		KeepPayloads:        opts.KeepPayloads,
-		EvictIdle:           opts.EvictIdle,
-	}
+	cfg := AnalyzerConfig{Label: label, CallStart: callStart, CallEnd: callEnd}
 	if !opts.KeepPayloads {
 		cfg.Pool = bufpool.Global()
 	}

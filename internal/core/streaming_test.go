@@ -111,7 +111,10 @@ func capturePCAPBytes(t testing.TB, cap *trace.Capture) []byte {
 // TestStreamingPCAPMatchesBatch runs the record-at-a-time pcap path with
 // payload retention against the read-everything baseline and requires
 // deep equality — including per-packet records — both with an explicit
-// call window and with the window defaulted to the capture span.
+// call window and with the window defaulted to the capture span. A
+// directly constructed Analyzer fed the same frames through FeedBatch
+// must equal the pcap path too: a zero CallStart alone selects the
+// span default.
 func TestStreamingPCAPMatchesBatch(t *testing.T) {
 	for _, tc := range []struct {
 		app     appsim.App
@@ -141,6 +144,34 @@ func TestStreamingPCAPMatchesBatch(t *testing.T) {
 				t.Fatalf("%s %s streaming: %v", tc.app, window.name, err)
 			}
 			diffAnalyses(t, fmt.Sprintf("%s/%s window=%s", tc.app, tc.network, window.name), batch, streaming)
+
+			a, err := NewAnalyzer(AnalyzerConfig{
+				Label: string(tc.app), LinkType: pcap.LinkTypeRaw,
+				CallStart: window.start, CallEnd: window.end,
+			}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr, err := pcap.NewReader(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames, err := pr.ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dgrams []Datagram
+			for _, fr := range frames {
+				dgrams = append(dgrams, Datagram{Timestamp: fr.Timestamp, Frame: fr.Data})
+			}
+			if err := a.FeedBatch(dgrams); err != nil {
+				t.Fatal(err)
+			}
+			direct, err := a.Close()
+			if err != nil {
+				t.Fatalf("%s %s direct: %v", tc.app, window.name, err)
+			}
+			diffAnalyses(t, fmt.Sprintf("%s/%s window=%s FeedBatch", tc.app, tc.network, window.name), streaming, direct)
 		}
 	}
 }
@@ -240,7 +271,7 @@ func TestAnalyzerMisuse(t *testing.T) {
 	if _, err := NewAnalyzer(AnalyzerConfig{CallStart: t0, CallEnd: t0.Add(-time.Second)}, Options{}); err == nil {
 		t.Error("inverted call window accepted")
 	}
-	if _, err := NewAnalyzer(AnalyzerConfig{KeepPayloads: true, EvictIdle: time.Second}, Options{}); err == nil {
+	if _, err := NewAnalyzer(AnalyzerConfig{}, Options{KeepPayloads: true, EvictIdle: time.Second}); err == nil {
 		t.Error("KeepPayloads with EvictIdle accepted")
 	}
 
@@ -248,8 +279,8 @@ func TestAnalyzerMisuse(t *testing.T) {
 	a, err := NewAnalyzer(AnalyzerConfig{
 		Label: "zoom", LinkType: pcap.LinkTypeRaw,
 		CallStart: cap.CallStart, CallEnd: cap.CallEnd,
-		KeepPayloads: true, FramesStable: true,
-	}, Options{})
+		FramesStable: true,
+	}, Options{KeepPayloads: true})
 	if err != nil {
 		t.Fatal(err)
 	}

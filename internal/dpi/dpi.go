@@ -129,9 +129,6 @@ type Engine struct {
 	// MaxOffset is k, the deepest byte offset candidate extraction will
 	// shift to. The paper found 200 sufficient (§4.1.1).
 	MaxOffset int
-	// Protocols restricts matching to the given set; empty means all
-	// registered protocols.
-	Protocols []Protocol
 	// Adaptive enables the per-stream adaptive offset bound the paper
 	// sketches as future work (§4.1.1): once a stream has shown where
 	// its proprietary headers end, later datagrams are only scanned to
@@ -145,12 +142,13 @@ type Engine struct {
 	// disables collection at zero cost.
 	Metrics *metrics.Registry
 	// Registry selects the protocol set to probe with; nil means the
-	// process-wide default registry.
+	// process-wide default registry. Restrict the set with
+	// proto.Registry.Without.
 	Registry *proto.Registry
 }
 
-// NewEngine returns an engine with the paper's default k=200 and all
-// protocols enabled.
+// NewEngine returns an engine with the paper's default k=200 and every
+// protocol of the default registry.
 func NewEngine() *Engine {
 	return &Engine{MaxOffset: 200}
 }
@@ -160,18 +158,6 @@ func (e *Engine) registry() *proto.Registry {
 		return e.Registry
 	}
 	return proto.Default()
-}
-
-func (e *Engine) enabled(p Protocol) bool {
-	if len(e.Protocols) == 0 {
-		return true
-	}
-	for _, q := range e.Protocols {
-		if q == p {
-			return true
-		}
-	}
-	return false
 }
 
 // Inspect runs candidate extraction and validation over one datagram
@@ -257,7 +243,7 @@ func (e *Engine) Inspect(payload []byte, ctx *StreamContext) Result {
 	return res
 }
 
-// matchAt tries the enabled probers admitted by the first payload byte
+// matchAt tries the registry's probers admitted by the first payload byte
 // at payload[i:], in registry precedence order: protocols with stronger
 // structural signatures win (STUN's magic cookie before ChannelData
 // framing before the RTCP type range before QUIC and DTLS before the
@@ -274,9 +260,6 @@ func (e *Engine) matchAt(reg *proto.Registry, payload []byte, i int, st *proto.S
 	probers := reg.ProbersFor(payload[i])
 	for k := range probers {
 		p := &probers[k]
-		if !e.enabled(p.ID) {
-			continue
-		}
 		if m, ok := p.Validate(c, st); ok {
 			m.Offset = i
 			*out = m

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/rtc-compliance/rtcc/internal/ice"
+	"github.com/rtc-compliance/rtcc/internal/proto"
 	"github.com/rtc-compliance/rtcc/internal/quicwire"
 	"github.com/rtc-compliance/rtcc/internal/rtcp"
 	"github.com/rtc-compliance/rtcc/internal/rtp"
@@ -264,10 +265,19 @@ func TestMaxOffsetLimit(t *testing.T) {
 }
 
 func TestProtocolFilter(t *testing.T) {
-	e := &Engine{MaxOffset: 200, Protocols: []Protocol{ProtoSTUN}}
-	res := e.Inspect(rtpPacket(1, 1, []byte("x")), nil)
-	if res.Class != ClassFullyProprietary {
-		t.Errorf("RTP matched with STUN-only filter: %+v", res)
+	pkt := rtpPacket(1, 1, []byte("x"))
+	if res := NewEngine().Inspect(pkt, nil); res.Class != ClassStandard {
+		t.Fatalf("RTP unmatched with every protocol registered: %+v", res)
+	}
+	var others []Protocol
+	for _, m := range proto.Default().Metas() {
+		if m.ID != ProtoSTUN {
+			others = append(others, m.ID)
+		}
+	}
+	e := &Engine{MaxOffset: 200, Registry: proto.Default().Without(others...)}
+	if res := e.Inspect(pkt, nil); res.Class != ClassFullyProprietary {
+		t.Errorf("RTP matched with STUN-only registry: %+v", res)
 	}
 }
 

@@ -77,13 +77,9 @@ type Removal struct {
 
 // Config parameterizes one filtering run.
 type Config struct {
-	// CallStart and CallEnd delimit the annotated call window.
+	// CallStart and CallEnd delimit the annotated call window; the
+	// filter expands it by DefaultWindowSlack on both sides.
 	CallStart, CallEnd time.Time
-	// WindowSlack expands the window on both sides; zero selects
-	// DefaultWindowSlack.
-	WindowSlack time.Duration
-	// SNIBlocklist overrides DefaultSNIBlocklist when non-nil.
-	SNIBlocklist []string
 	// Metrics, when non-nil, receives per-stage accounting: input
 	// packets/streams, removals labelled by stage and rule, and RTC
 	// survivors. Recording happens once per run from the already
@@ -94,22 +90,6 @@ type Config struct {
 	// events are emitted once per run from the computed Result, in
 	// deterministic stream order.
 	Trace *obs.Pipeline
-}
-
-// Slack returns the effective window slack.
-func (c Config) Slack() time.Duration {
-	if c.WindowSlack == 0 {
-		return DefaultWindowSlack
-	}
-	return c.WindowSlack
-}
-
-// Blocklist returns the effective SNI blocklist.
-func (c Config) Blocklist() []string {
-	if c.SNIBlocklist != nil {
-		return c.SNIBlocklist
-	}
-	return DefaultSNIBlocklist
 }
 
 // Result is the outcome of a filtering run.
@@ -141,9 +121,8 @@ func Run(table *flow.Table, cfg Config) *Result {
 // byte-identical to the batch result without retaining TCP payloads.
 func RunWithSNI(table *flow.Table, cfg Config, sni func(*flow.Stream) (string, bool)) *Result {
 	res := &Result{Removed: make(map[flow.Key]Removal)}
-	slack := cfg.Slack()
-	winStart := cfg.CallStart.Add(-slack)
-	winEnd := cfg.CallEnd.Add(slack)
+	winStart := cfg.CallStart.Add(-DefaultWindowSlack)
+	winEnd := cfg.CallEnd.Add(DefaultWindowSlack)
 
 	streams := table.Streams()
 	tally(&res.RawUDP, &res.RawTCP, streams)
@@ -166,11 +145,10 @@ func RunWithSNI(table *flow.Table, cfg Config, sni func(*flow.Stream) (string, b
 	// Pre-compute stage-2 inputs.
 	outsideTuples := outsideWindowTuples(table, winStart, winEnd)
 	preCallPairs := preCallAddrPairs(streams, cfg.CallStart)
-	blocklist := cfg.Blocklist()
 
 	var stage2 []*flow.Stream
 	for _, s := range survivors {
-		if removal, removed := stage2Check(s, outsideTuples, preCallPairs, blocklist, sni); removed {
+		if removal, removed := stage2Check(s, outsideTuples, preCallPairs, sni); removed {
 			res.Removed[s.Key] = removal
 			stage2 = append(stage2, s)
 			continue
@@ -303,7 +281,7 @@ func PairKey(a, b netip.Addr) [2]netip.Addr {
 
 // stage2Check applies the four intra-call heuristics in the paper's
 // order.
-func stage2Check(s *flow.Stream, outsideTuples map[flow.ThreeTuple]bool, preCallPairs map[[2]netip.Addr]bool, blocklist []string, sniOf func(*flow.Stream) (string, bool)) (Removal, bool) {
+func stage2Check(s *flow.Stream, outsideTuples map[flow.ThreeTuple]bool, preCallPairs map[[2]netip.Addr]bool, sniOf func(*flow.Stream) (string, bool)) (Removal, bool) {
 	// 1. 3-tuple timing: any packet destination matching a 3-tuple seen
 	// outside the window. DstTuples is the distinct destinations in
 	// first-occurrence order, so the first match here is the same tuple
@@ -316,7 +294,7 @@ func stage2Check(s *flow.Stream, outsideTuples map[flow.ThreeTuple]bool, preCall
 	}
 	// 2. TLS SNI blocklist (TCP streams only).
 	if s.Key.Proto == layers.IPProtocolTCP {
-		if sni, ok := sniOf(s); ok && MatchesBlocklist(sni, blocklist) {
+		if sni, ok := sniOf(s); ok && MatchesBlocklist(sni, DefaultSNIBlocklist) {
 			return Removal{Stage: 2, Rule: RuleSNI, Detail: "SNI " + sni + " is blocklisted"}, true
 		}
 	}

@@ -1,6 +1,7 @@
 package filterpipe
 
 import (
+	"net/netip"
 	"testing"
 	"time"
 
@@ -142,21 +143,31 @@ func TestBlocklistedSNIRemoved(t *testing.T) {
 	}
 }
 
+// TestWindowSlackDefault pins the §3.2.1 window expansion: a stream
+// starting just inside DefaultWindowSlack before the call survives
+// stage 1, one starting just outside it is removed by the timespan rule.
 func TestWindowSlackDefault(t *testing.T) {
-	cfg := Config{}
-	if cfg.Slack() != DefaultWindowSlack {
-		t.Error("default slack wrong")
+	start, end := t0, t0.Add(10*time.Second)
+	table := flow.NewTable()
+	add := func(dstPort uint16, ts time.Time) {
+		frame := layers.EncodeUDPv4(netip.MustParseAddr("198.51.100.1"), netip.MustParseAddr("203.0.113.9"), 40000, dstPort, []byte{1, 2, 3, 4})
+		pkt, err := layers.Decode(pcap.LinkTypeRaw, frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table.Add(ts, pkt)
 	}
-	cfg.WindowSlack = time.Second
-	if cfg.Slack() != time.Second {
-		t.Error("explicit slack ignored")
+	const inside, outside = 50001, 50002
+	add(inside, start.Add(-DefaultWindowSlack+time.Millisecond))
+	add(outside, start.Add(-DefaultWindowSlack-time.Millisecond))
+	add(inside, end)
+	add(outside, end)
+	res := Run(table, Config{CallStart: start, CallEnd: end})
+	if len(res.RTC) != 1 || res.RTC[0].Key.B.Port != inside && res.RTC[0].Key.A.Port != inside {
+		t.Fatalf("RTC = %v, want only the stream starting inside the slack", res.RTC)
 	}
-	if len(cfg.Blocklist()) == 0 {
-		t.Error("default blocklist empty")
-	}
-	cfg.SNIBlocklist = []string{"x"}
-	if len(cfg.Blocklist()) != 1 {
-		t.Error("explicit blocklist ignored")
+	if res.Stage1UDP.Streams != 1 {
+		t.Fatalf("stage-1 removals = %d, want 1 (the stream starting outside the slack)", res.Stage1UDP.Streams)
 	}
 }
 

@@ -44,22 +44,21 @@ const (
 	Drop
 )
 
+// String returns the policy's config spelling, "block" or "drop".
+func (p Policy) String() string {
+	if p == Drop {
+		return "drop"
+	}
+	return "block"
+}
+
 // Config parameterizes the sharded tier. The zero value selects one
-// shard per CPU, a queue depth of 8 batches, and 64-datagram batches
-// with lossless back-pressure.
+// shard per CPU with lossless back-pressure.
 type Config struct {
 	// Shards is the number of single-writer Analyzer shards; 0 selects
 	// one per CPU (GOMAXPROCS). 1 is valid and degenerates to a serial
 	// Analyzer behind the same API.
 	Shards int
-	// QueueDepth bounds each shard's pending batch queue; 0 selects 8.
-	// Together with BatchSize it caps the datagrams in flight per
-	// shard, which is what makes ingest memory independent of capture
-	// size.
-	QueueDepth int
-	// BatchSize is how many datagrams the router stages per shard
-	// before enqueueing; 0 selects 64, matching the serial reader ring.
-	BatchSize int
 	// Policy selects the back-pressure behavior when a shard queue is
 	// full: Block (lossless, default) or Drop.
 	Policy Policy
@@ -72,19 +71,14 @@ func (c Config) shards() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (c Config) queueDepth() int {
-	if c.QueueDepth > 0 {
-		return c.QueueDepth
-	}
-	return 8
-}
-
-func (c Config) batchSize() int {
-	if c.BatchSize > 0 {
-		return c.BatchSize
-	}
-	return 64
-}
+// Each shard queues at most queueDepth batches of batchSize datagrams,
+// which caps the datagrams in flight per shard and so makes ingest
+// memory independent of capture size. The batch size matches the
+// serial reader ring.
+const (
+	queueDepth = 8
+	batchSize  = 64
+)
 
 // batchBuf is one unit of the router→shard queue: a slice of datagrams
 // plus (in copy mode) the backing frame bytes. Buffers recycle through
@@ -165,6 +159,7 @@ func (sh *shard) run() {
 type ShardedAnalyzer struct {
 	cfg    Config
 	acfg   core.AnalyzerConfig
+	batch  int
 	shards []*shard
 	seq    uint64
 	stable bool
@@ -182,15 +177,21 @@ type ShardedAnalyzer struct {
 // RunMatrix does not trace; analyze serially to trace. The returned
 // analyzer must be fed from one goroutine.
 func New(acfg core.AnalyzerConfig, opts core.Options, cfg Config) (*ShardedAnalyzer, error) {
+	return newTier(acfg, opts, cfg, queueDepth, batchSize)
+}
+
+// newTier is New with the per-shard queue depth and batch size
+// explicit, so tests can force back-pressure with tiny queues.
+func newTier(acfg core.AnalyzerConfig, opts core.Options, cfg Config, depth, batch int) (*ShardedAnalyzer, error) {
 	if acfg.ExternalSeq {
 		return nil, errors.New("ingest: AnalyzerConfig.ExternalSeq is owned by the sharded router")
 	}
 	opts.Tracer = nil
 	n := cfg.shards()
-	depth := cfg.queueDepth()
 	s := &ShardedAnalyzer{
 		cfg:    cfg,
 		acfg:   acfg,
+		batch:  batch,
 		stable: acfg.FramesStable,
 		shards: make([]*shard, n),
 		m:      newIngestMetrics(opts.Metrics, acfg.Label, n),
@@ -234,9 +235,9 @@ func (s *ShardedAnalyzer) route(frame []byte) *shard {
 	return s.shards[s.seq%n]
 }
 
-// Feed routes one frame. See FeedBatch for the batched path.
+// Feed routes one frame: a one-element FeedBatch.
 func (s *ShardedAnalyzer) Feed(ts time.Time, frame []byte) error {
-	return s.feedOne(ts, frame)
+	return s.FeedBatch([]core.Datagram{{Timestamp: ts, Frame: frame}})
 }
 
 // FeedBatch routes a slice of frames onto their owning shards. Unless
@@ -248,17 +249,12 @@ func (s *ShardedAnalyzer) FeedBatch(batch []core.Datagram) error {
 		return errors.New("ingest: Feed after Close")
 	}
 	for i := range batch {
-		if err := s.feedOne(batch[i].Timestamp, batch[i].Frame); err != nil {
-			return err
-		}
+		s.feedOne(batch[i].Timestamp, batch[i].Frame)
 	}
 	return nil
 }
 
-func (s *ShardedAnalyzer) feedOne(ts time.Time, frame []byte) error {
-	if s.closed {
-		return errors.New("ingest: Feed after Close")
-	}
+func (s *ShardedAnalyzer) feedOne(ts time.Time, frame []byte) {
 	s.seq++
 	s.fed.Add(1)
 	s.m.fed.Inc()
@@ -278,14 +274,13 @@ func (s *ShardedAnalyzer) feedOne(ts time.Time, frame []byte) error {
 		b.buf = append(b.buf, frame...)
 		b.dgrams = append(b.dgrams, core.Datagram{Timestamp: ts, Seq: s.seq})
 	}
-	if len(b.dgrams) >= s.cfg.batchSize() {
+	if len(b.dgrams) >= s.batch {
 		s.flushShard(sh)
 	}
-	return nil
 }
 
 // getBuf takes a recycled batch buffer or allocates one. Allocation is
-// naturally bounded: per shard at most queueDepth queued + 1 in the
+// naturally bounded: per shard at most the queue depth + 1 in the
 // worker + 1 staging buffers exist, after which the free list always
 // has one to give.
 func (s *ShardedAnalyzer) getBuf(sh *shard) *batchBuf {
@@ -293,10 +288,9 @@ func (s *ShardedAnalyzer) getBuf(sh *shard) *batchBuf {
 	case b := <-sh.free:
 		return b
 	default:
-		size := s.cfg.batchSize()
 		return &batchBuf{
-			dgrams: make([]core.Datagram, 0, size),
-			offs:   make([]int, 0, size),
+			dgrams: make([]core.Datagram, 0, s.batch),
+			offs:   make([]int, 0, s.batch),
 		}
 	}
 }
@@ -416,7 +410,7 @@ type ShardStats struct {
 
 // Stats is a snapshot of the tier's datagram accounting. Conservation
 // holds by construction: Fed == Σ Enqueued + Σ Dropped + staged (the
-// ≤ BatchSize datagrams per shard not yet flushed), and after Flush or
+// < batchSize datagrams per shard not yet flushed), and after Flush or
 // Close, Fed == Analyzed + Dropped exactly.
 type Stats struct {
 	Fed, Analyzed, Dropped, Backpressure uint64

@@ -192,12 +192,27 @@ func feedAll(t testing.TB, sa *ingest.ShardedAnalyzer, capt *trace.Capture) {
 
 func newSharded(t testing.TB, capt *trace.Capture, cfg ingest.Config, opts core.Options) *ingest.ShardedAnalyzer {
 	t.Helper()
-	sa, err := ingest.New(core.AnalyzerConfig{
+	return newShardedQueue(t, capt, cfg, opts, 0, 0)
+}
+
+// newShardedQueue is newSharded with an explicit per-shard queue depth
+// and batch size; zero keeps New's defaults.
+func newShardedQueue(t testing.TB, capt *trace.Capture, cfg ingest.Config, opts core.Options, depth, batch int) *ingest.ShardedAnalyzer {
+	t.Helper()
+	acfg := core.AnalyzerConfig{
 		Label:     string(capt.Config.App),
 		LinkType:  pcap.LinkTypeRaw,
 		CallStart: capt.CallStart, CallEnd: capt.CallEnd,
-		KeepPayloads: true, FramesStable: true,
-	}, opts, cfg)
+		FramesStable: true,
+	}
+	opts.KeepPayloads = true
+	var sa *ingest.ShardedAnalyzer
+	var err error
+	if depth > 0 {
+		sa, err = ingest.NewWithQueue(acfg, opts, cfg, depth, batch)
+	} else {
+		sa, err = ingest.New(acfg, opts, cfg)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +230,8 @@ func TestDropConservation(t *testing.T) {
 		// A one-deep queue of one-datagram batches makes back-pressure
 		// certain; how many drops land depends on worker timing, but
 		// conservation must hold regardless.
-		sa := newSharded(t, cap, ingest.Config{
-			Shards: 2, QueueDepth: 1, BatchSize: 1, Policy: ingest.Drop,
-		}, core.Options{Workers: 1})
+		sa := newShardedQueue(t, cap, ingest.Config{Shards: 2, Policy: ingest.Drop},
+			core.Options{Workers: 1}, 1, 1)
 		feedAll(t, sa, cap)
 		if _, err := sa.Close(); err != nil {
 			t.Fatal(err)
@@ -242,9 +256,8 @@ func TestDropConservation(t *testing.T) {
 	})
 
 	t.Run("block", func(t *testing.T) {
-		sa := newSharded(t, cap, ingest.Config{
-			Shards: 2, QueueDepth: 1, BatchSize: 1, Policy: ingest.Block,
-		}, core.Options{Workers: 1})
+		sa := newShardedQueue(t, cap, ingest.Config{Shards: 2, Policy: ingest.Block},
+			core.Options{Workers: 1}, 1, 1)
 		feedAll(t, sa, cap)
 		if _, err := sa.Close(); err != nil {
 			t.Fatal(err)
@@ -369,8 +382,8 @@ func TestShardedMisuse(t *testing.T) {
 func TestShardRaceHammer(t *testing.T) {
 	cap := genCapture(t, appsim.Zoom, appsim.WiFiRelay, 31337)
 	reg := metrics.NewRegistry()
-	sa := newSharded(t, cap, ingest.Config{Shards: 4, QueueDepth: 2, BatchSize: 8},
-		core.Options{Workers: 1, Metrics: reg})
+	sa := newShardedQueue(t, cap, ingest.Config{Shards: 4},
+		core.Options{Workers: 1, Metrics: reg}, 2, 8)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

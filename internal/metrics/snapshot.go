@@ -39,18 +39,9 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.histograms {
 		histograms[k] = v
 	}
-	sharded := make(map[string]*ShardedCounter, len(r.sharded))
-	for k, v := range r.sharded {
-		sharded[k] = v
-	}
 	r.mu.Unlock()
 
 	for k, c := range counters {
-		s.Counters[k] = c.Value()
-	}
-	// Sharded counters fold into the same counters namespace: scrapers
-	// see one total per name, not the per-worker cells.
-	for k, c := range sharded {
 		s.Counters[k] = c.Value()
 	}
 	for k, g := range gauges {

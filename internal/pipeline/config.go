@@ -136,9 +136,6 @@ type Exec struct {
 	// Policy is the shard back-pressure policy: "block" (lossless,
 	// default) or "drop" (live shedding, every shed datagram counted).
 	Policy string `json:"policy"`
-	// QueueDepth and BatchSize tune the shard queues (0 = defaults).
-	QueueDepth int `json:"queue_depth"`
-	BatchSize  int `json:"batch_size"`
 	// EvictIdle finalizes streams idle this long to bound memory
 	// (0 = off).
 	EvictIdle Duration `json:"evict_idle"`

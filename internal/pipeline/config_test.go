@@ -108,6 +108,9 @@ func TestLoadFileRejectsUnknownKeys(t *testing.T) {
 	for _, tc := range []struct{ name, content string }{
 		{"p.json", `{"source": {"kind": "pcap", "path": "x", "typo_key": 1}}`},
 		{"p.yaml", "source:\n  kind: pcap\n  path: x\nexcec:\n  shards: 2\n"},
+		// Removed keys: the shard queue shape is a constant now.
+		{"q.yaml", "source:\n  kind: pcap\n  path: x\nexec:\n  queue_depth: 4\n"},
+		{"b.json", `{"source": {"kind": "pcap", "path": "x"}, "exec": {"batch_size": 16}}`},
 	} {
 		var cfg Config
 		err := LoadFile(&cfg, writeConfig(t, tc.name, tc.content))

@@ -403,10 +403,7 @@ func (d *Daemon) healthzHandler() http.Handler {
 		if d.lastReload != nil && !d.lastReload.OK {
 			h.Status = "degraded"
 		}
-		h.Backpressure.Policy = d.cfg.Exec.Policy
-		if h.Backpressure.Policy == "" {
-			h.Backpressure.Policy = "block"
-		}
+		h.Backpressure.Policy = d.cfg.Exec.livePolicy().String()
 		h.Backpressure.Shards = d.cfg.Exec.Shards
 		if h.Backpressure.Shards < 1 {
 			h.Backpressure.Shards = 1 // serial path: one analyzer

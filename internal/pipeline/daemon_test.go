@@ -283,6 +283,46 @@ func TestDaemonTrendSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestDaemonHealthzReportsLivePolicy: /healthz reports the
+// back-pressure policy the live session actually runs under — Drop on
+// the sharded tier when exec.policy is unset, the named policy
+// otherwise, and Block on the serial path, which never sheds.
+func TestDaemonHealthzReportsLivePolicy(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		shards       int
+		policy, want string
+	}{
+		{2, "", "drop"},
+		{2, "block", "block"},
+		{1, "", "block"},
+	} {
+		cfg := fmt.Sprintf("source:\n  kind: live\n  listen: \"127.0.0.1:0\"\n  idle: 100ms\n"+
+			"exec:\n  shards: %d\n", tc.shards)
+		if tc.policy != "" {
+			cfg += "  policy: " + tc.policy + "\n"
+		}
+		cfg += "sinks:\n  metrics_addr: \"127.0.0.1:0\"\n"
+		cfgPath := filepath.Join(dir, "daemon.yaml")
+		if err := os.WriteFile(cfgPath, []byte(cfg), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, errCh := startDaemon(t, cfgPath, &syncBuf{})
+		var health struct {
+			Backpressure struct {
+				Policy string `json:"policy"`
+				Shards int    `json:"shards"`
+			} `json:"backpressure"`
+		}
+		getJSON(t, "http://"+d.MetricsAddr()+"/healthz", &health)
+		stopDaemon(t, d, errCh)
+		if health.Backpressure.Policy != tc.want || health.Backpressure.Shards != tc.shards {
+			t.Errorf("shards=%d policy=%q: healthz backpressure %+v, want policy %q",
+				tc.shards, tc.policy, health.Backpressure, tc.want)
+		}
+	}
+}
+
 // TestNewDaemonRejects pins the daemon-specific config validation.
 func TestNewDaemonRejects(t *testing.T) {
 	dir := t.TempDir()

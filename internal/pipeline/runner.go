@@ -124,12 +124,7 @@ func (r *Runner) Sharded() bool { return r.cfg.Exec.Shards > 1 }
 
 // ShardConfig assembles the ingest-tier configuration.
 func (r *Runner) ShardConfig() ingest.Config {
-	return ingest.Config{
-		Shards:     r.cfg.Exec.Shards,
-		QueueDepth: r.cfg.Exec.QueueDepth,
-		BatchSize:  r.cfg.Exec.BatchSize,
-		Policy:     r.policy(),
-	}
+	return ingest.Config{Shards: r.cfg.Exec.Shards, Policy: r.policy()}
 }
 
 // policy resolves Exec.Policy (validated earlier).
@@ -145,6 +140,22 @@ func (e Exec) policy() (ingest.Policy, error) {
 
 func (r *Runner) policy() ingest.Policy {
 	p, _ := r.cfg.Exec.policy()
+	return p
+}
+
+// livePolicy is the back-pressure policy a live session runs under.
+// The serial path feeds its analyzer inline and never sheds. The
+// sharded tier uses the configured policy, or Drop when none is named,
+// because a stalled live producer loses mirror packets upstream
+// invisibly while Drop counts every shed datagram.
+func (e Exec) livePolicy() ingest.Policy {
+	if e.Shards <= 1 {
+		return ingest.Block
+	}
+	if e.Policy == "" {
+		return ingest.Drop
+	}
+	p, _ := e.policy()
 	return p
 }
 
@@ -349,25 +360,19 @@ const liveBatchCap = 64
 
 // NewLiveSession builds the analyzer for one live session. The live
 // path always analyzes raw-IP frames with the call window defaulted to
-// the received span; the sharded tier uses the drop policy unless the
-// Config names one, because a stalled live producer loses mirror
-// packets upstream invisibly while Drop counts every shed datagram.
+// the received span (a zero CallStart); the sharded tier runs under
+// Exec.livePolicy.
 func (r *Runner) NewLiveSession() (*LiveSession, error) {
 	acfg := core.AnalyzerConfig{
-		Label:               r.cfg.Source.EffectiveLabel(),
-		LinkType:            pcap.LinkTypeRaw,
-		DefaultWindowToSpan: true,
-		FramesStable:        true, // each decapsulated frame is freshly allocated
-		EvictIdle:           r.cfg.Exec.EvictIdle.Std(),
+		Label:        r.cfg.Source.EffectiveLabel(),
+		LinkType:     pcap.LinkTypeRaw,
+		FramesStable: true, // each decapsulated frame is freshly allocated
 	}
 	opts := r.Options()
-	opts.EvictIdle = 0 // live eviction rides AnalyzerConfig, not the pcap reader knob
 	s := &LiveSession{batch: make([]core.Datagram, 0, liveBatchCap)}
 	if r.Sharded() {
 		scfg := r.ShardConfig()
-		if r.cfg.Exec.Policy == "" {
-			scfg.Policy = ingest.Drop
-		}
+		scfg.Policy = r.cfg.Exec.livePolicy()
 		sh, err := ingest.New(acfg, opts, scfg)
 		if err != nil {
 			return nil, err

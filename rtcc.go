@@ -88,10 +88,6 @@ type Tracer = obs.Tracer
 // carry and the JSONL export serializes one-per-line.
 type TraceEvent = obs.Event
 
-// TraceSampling bounds per-stream trace retention (head/tail; failing
-// verdicts always kept). The zero value selects the defaults.
-type TraceSampling = obs.Sampling
-
 // TraceBuffer is an in-memory trace sink backing -explain queries.
 type TraceBuffer = obs.Buffer
 
@@ -194,9 +190,12 @@ func ImpairProfileByName(name string) (ImpairProfile, bool) {
 	return natsim.ProfileByName(name)
 }
 
-// Options configures an analysis run (DPI offset limit, filter window
-// slack, SNI blocklist, worker-pool size). Workers=0 uses every CPU,
-// Workers=1 forces the serial path; results are identical either way.
+// Options configures an analysis run: the DPI offset limit k,
+// findings, worker-pool size, protocol registry, payload retention and
+// idle-stream eviction, and the metrics, trace and QoE sinks. The
+// filter's call-window slack (2 s) and SNI blocklist are fixed to the
+// paper's values. Workers=0 uses every CPU, Workers=1 forces the
+// serial path; results are identical either way.
 type Options = core.Options
 
 // CaptureAnalysis is the per-capture analysis result: filter
@@ -275,12 +274,16 @@ const (
 )
 
 // Analyzer is the incremental analysis engine behind every entry point:
-// Feed it one frame at a time and Close it for the CaptureAnalysis.
+// feed it frames (FeedBatch, or Feed for one) and Close it for the
+// CaptureAnalysis.
 // Use it directly to analyze a source the wrappers don't cover (a live
 // socket, a message queue) without buffering the capture.
 type Analyzer = core.Analyzer
 
-// AnalyzerConfig parameterizes an incremental Analyzer.
+// AnalyzerConfig describes the frames an incremental Analyzer is fed:
+// label, link type, call window (a zero CallStart defaults it to the
+// fed span), frame stability, and an optional BufferPool. Retention
+// and eviction are set on Options.
 type AnalyzerConfig = core.AnalyzerConfig
 
 // Datagram is one timestamped link-layer frame, the unit of the
@@ -322,9 +325,10 @@ type FrameSink = core.FrameSink
 // §15). Feed it from one goroutine, exactly like an Analyzer.
 type ShardedAnalyzer = ingest.ShardedAnalyzer
 
-// ShardConfig parameterizes the sharded ingest tier (shard count,
-// queue depth, batch size, back-pressure policy). The zero value
-// selects one shard per CPU with lossless back-pressure.
+// ShardConfig parameterizes the sharded ingest tier (shard count and
+// back-pressure policy; each shard queues at most 8 batches of 64
+// datagrams). The zero value selects one shard per CPU with lossless
+// back-pressure.
 type ShardConfig = ingest.Config
 
 // ShardPolicy selects what a full shard queue does to the producer:
