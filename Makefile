@@ -54,7 +54,8 @@ race:
 # Run every fuzz target briefly against its seed corpus plus a short
 # mutation budget. `go test -fuzz` accepts one target per invocation.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzInspect -fuzztime=$(FUZZTIME) ./internal/dpi
+	$(GO) test -run='^$$' -fuzz='FuzzInspect$$' -fuzztime=$(FUZZTIME) ./internal/dpi
+	$(GO) test -run='^$$' -fuzz=FuzzInspectParity -fuzztime=$(FUZZTIME) ./internal/dpi
 	$(GO) test -run='^$$' -fuzz='FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/stun
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeChannelData -fuzztime=$(FUZZTIME) ./internal/stun
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeCompound -fuzztime=$(FUZZTIME) ./internal/rtcp

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"github.com/rtc-compliance/rtcc/internal/proto"
 	"github.com/rtc-compliance/rtcc/internal/rtcp"
 	"github.com/rtc-compliance/rtcc/internal/rtp"
 )
@@ -72,5 +73,31 @@ func FuzzInspect(f *testing.F) {
 		// The strict baseline must never find more than... anything; it
 		// just must not panic.
 		StrictEngine{}.Inspect(data)
+	})
+}
+
+// paritySep splits a FuzzInspectParity input into datagrams.
+var paritySep = []byte{0xff, 0xff, 0xff}
+
+// FuzzInspectParity differentially checks the registry engine against
+// the frozen pre-registry chain in baseline_bench_test.go: the input is
+// split into datagrams on ff ff ff, both engines inspect them in order
+// on one stream, and every datagram's class and message spans must
+// agree. The baseline predates the DTLS driver, so the registry side
+// runs without it.
+func FuzzInspectParity(f *testing.F) {
+	f.Add(bytes.Join(dispatchCorpus(), paritySep))
+	e := &Engine{MaxOffset: 200, Registry: proto.Default().Without(proto.DTLS)}
+	be := &baselineEngine{MaxOffset: 200}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ctx, bctx := NewStreamContext(), newBaselineContext()
+		var got, want []Result
+		for _, d := range bytes.Split(data, paritySep) {
+			got = append(got, e.Inspect(d, ctx))
+			want = append(want, be.Inspect(d, bctx))
+		}
+		if g, w := summarize(got), summarize(want); g != w {
+			t.Fatalf("registry diverged from frozen baseline:\nregistry: %s\nbaseline: %s", g, w)
+		}
 	})
 }

@@ -33,8 +33,8 @@ func FuzzDTLSProbe(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var st proto.StreamState
-		m, ok := Match(proto.Candidate{Payload: data}, &st)
-		if !ok {
+		var m proto.Message
+		if !Match(proto.Candidate{Payload: data}, &st, &m) {
 			return
 		}
 		if m.Length != len(data) {

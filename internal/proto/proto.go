@@ -151,9 +151,12 @@ type Prober struct {
 	// and returns false. Nil when Pass1 is false.
 	Probe func(c Candidate, sc *ScanState) (Candidate, bool)
 	// Validate runs the fingerprint plus stream-state validation at one
-	// offset during pass 2, returning the extracted message. The engine
-	// sets the message's Offset.
-	Validate func(c Candidate, st *StreamState) (Message, bool)
+	// offset during pass 2 and reports whether a message starts there.
+	// The extracted message is written to out only when it returns
+	// true; on false out is left untouched, so the caller may pass the
+	// same scratch Message at every offset without re-zeroing it. The
+	// caller owns out and sets its Offset.
+	Validate func(c Candidate, st *StreamState, out *Message) bool
 }
 
 // Handler is one protocol's registered implementation.
@@ -181,14 +184,14 @@ type Accepter interface {
 
 // ConsumeProbe adapts a Validate function into the pass-1 Probe shape
 // for strong-signature probers: a structural match against the scratch
-// state consumes the message's span.
-func ConsumeProbe(validate func(Candidate, *StreamState) (Message, bool)) func(Candidate, *ScanState) (Candidate, bool) {
+// state consumes the message's span. The match is written to the scan
+// state's scratch Message.
+func ConsumeProbe(validate func(Candidate, *StreamState, *Message) bool) func(Candidate, *ScanState) (Candidate, bool) {
 	return func(c Candidate, sc *ScanState) (Candidate, bool) {
-		m, ok := validate(c, &sc.Scratch)
-		if !ok {
+		if !validate(c, &sc.Scratch, &sc.msg) {
 			return c, false
 		}
-		c.Length = m.Length
+		c.Length = sc.msg.Length
 		return c, true
 	}
 }

@@ -64,31 +64,31 @@ func state(st *proto.StreamState) *streamState {
 // when the stream has established QUIC state (a known DCID at the
 // expected length), mirroring the paper's DCID/SCID consistency
 // heuristic.
-func match(c proto.Candidate, st *proto.StreamState) (proto.Message, bool) {
+func match(c proto.Candidate, st *proto.StreamState, out *proto.Message) bool {
 	b := c.Bytes()
 	if quicwire.IsLongHeader(b) {
 		// Probe into a stack Header (CIDs aliasing b); most candidate
 		// offsets are rejected, so the heap copy waits for acceptance.
 		var probe quicwire.Header
 		if quicwire.ParseLongInto(&probe, b) != nil {
-			return proto.Message{}, false
+			return false
 		}
 		if probe.Version != quicwire.Version1 && probe.Version != quicwire.VersionNegotiation {
-			return proto.Message{}, false
+			return false
 		}
 		if probe.Version == quicwire.Version1 && !probe.FixedBit {
-			return proto.Message{}, false
+			return false
 		}
 		if probe.Version == quicwire.VersionNegotiation {
 			// A real Version Negotiation packet lists at least one
 			// nonzero version; all-zero regions of proprietary payloads
 			// would otherwise masquerade as VN.
 			if len(probe.SupportedVersions) == 0 {
-				return proto.Message{}, false
+				return false
 			}
 			for _, v := range probe.SupportedVersions {
 				if v == 0 {
-					return proto.Message{}, false
+					return false
 				}
 			}
 		}
@@ -107,21 +107,23 @@ func match(c proto.Candidate, st *proto.StreamState) (proto.Message, bool) {
 		h := new(quicwire.Header)
 		*h = probe
 		h.CloneCIDs()
-		return proto.Message{Protocol: proto.QUIC, Length: length, QUIC: h}, true
+		*out = proto.Message{Protocol: proto.QUIC, Length: length, QUIC: h}
+		return true
 	}
 	// Short header: requires context.
 	qs, _ := st.Slot(proto.QUIC).(*streamState)
 	if qs == nil || qs.shortCIDLen == 0 || len(b) < 1+qs.shortCIDLen {
-		return proto.Message{}, false
+		return false
 	}
 	if b[0]&0xc0 != 0x40 { // form 0, fixed bit 1
-		return proto.Message{}, false
+		return false
 	}
 	h, err := quicwire.ParseShort(b, qs.shortCIDLen)
 	if err != nil || !qs.cids[string(h.DCID)] {
-		return proto.Message{}, false
+		return false
 	}
-	return proto.Message{Protocol: proto.QUIC, Length: len(b), QUIC: h}, true
+	*out = proto.Message{Protocol: proto.QUIC, Length: len(b), QUIC: h}
+	return true
 }
 
 func quicTypeKey(h *quicwire.Header) proto.TypeKey {

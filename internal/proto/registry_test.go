@@ -12,13 +12,13 @@ type fakeHandler struct {
 	probers []Prober
 }
 
-func (h fakeHandler) Meta() Meta                                    { return h.meta }
-func (h fakeHandler) Probers() []Prober                             { return h.probers }
+func (h fakeHandler) Meta() Meta        { return h.meta }
+func (h fakeHandler) Probers() []Prober { return h.probers }
 func (h fakeHandler) Comply(dst []Checked, _ Message, _ time.Time, _ *Session) []Checked {
 	return dst
 }
 
-func noopValidate(c Candidate, st *StreamState) (Message, bool) { return Message{}, false }
+func noopValidate(c Candidate, st *StreamState, out *Message) bool { return false }
 
 func TestRegisterSortsProbersAndFillsIDs(t *testing.T) {
 	r := NewRegistry()

@@ -17,6 +17,7 @@ import (
 	"github.com/rtc-compliance/rtcc/internal/proto/rtcpdrv"
 	"github.com/rtc-compliance/rtcc/internal/proto/stundrv"
 	"github.com/rtc-compliance/rtcc/internal/rtp"
+	"github.com/rtc-compliance/rtcc/internal/stun"
 )
 
 func init() {
@@ -55,13 +56,16 @@ func (handler) Probers() []proto.Prober {
 
 // streamState is RTP's per-stream pass-2 state: last accepted sequence
 // number and timestamp per SSRC, plus the decode scratch that keeps the
-// probe path allocation-free and the packet slab that keeps acceptance
-// allocation-free.
+// probe path allocation-free, the packet slab that keeps acceptance
+// allocation-free, and the scratch Message of the Accept-time search.
 type streamState struct {
 	lastSeq map[uint32]uint16
 	lastTS  map[uint32]uint32
 	probe   rtp.Packet
 	slab    pktSlab
+	// inner receives the matchers' output during the Accept-time
+	// search; it is read only right after a successful match.
+	inner proto.Message
 }
 
 // slabBlock is the packet count of one slab block. Blocks are fixed
@@ -200,13 +204,13 @@ func tsClose(last, ts uint32) bool {
 // Match matches RTP: version 2, first payload byte outside the RTCP
 // demultiplexing range (RFC 5761), and either a known SSRC with a
 // plausible next sequence number or a fresh zero-CSRC packet.
-func Match(c proto.Candidate, st *proto.StreamState) (proto.Message, bool) {
+func Match(c proto.Candidate, st *proto.StreamState, out *proto.Message) bool {
 	b := c.Bytes()
 	if !rtp.LooksLikeHeader(b) {
-		return proto.Message{}, false
+		return false
 	}
 	if b[1] >= 192 && b[1] <= 223 {
-		return proto.Message{}, false // RTCP range
+		return false // RTCP range
 	}
 	if st.ValidatedSSRC != nil && !st.ValidatedSSRC[binary.BigEndian.Uint32(b[8:12])] {
 		// Stream-validated mode: only SSRCs with cross-packet support
@@ -216,29 +220,29 @@ func Match(c proto.Candidate, st *proto.StreamState) (proto.Message, bool) {
 		// before the full decode: nearly every candidate window fails
 		// it, and a window that would fail decode is rejected either
 		// way.
-		return proto.Message{}, false
+		return false
 	}
 	rs := state(st)
 	// Probe into the stream state's scratch Packet; most candidate
 	// offsets are rejected, so the heap copy is deferred to acceptance.
 	probe := &rs.probe
 	if rtp.DecodeInto(probe, b) != nil {
-		return proto.Message{}, false
+		return false
 	}
 	if last, ok := rs.lastSeq[probe.SSRC]; ok {
 		if !seqClose(last, probe.SequenceNumber) {
-			return proto.Message{}, false
+			return false
 		}
 		if lastTS, has := rs.lastTS[probe.SSRC]; has && !tsClose(lastTS, probe.Timestamp) {
 			// Known SSRC but an implausible timestamp jump: a stray
 			// byte window that happens to cover a real SSRC value.
-			return proto.Message{}, false
+			return false
 		}
 	} else if probe.CSRCCount != 0 {
 		// First sighting of an SSRC: RTC media never uses CSRC lists in
 		// these applications, so a nonzero CSRC count on a fresh SSRC
 		// marks a mis-parse.
-		return proto.Message{}, false
+		return false
 	}
 	p := rs.slab.next(st.Epoch)
 	*p = *probe
@@ -247,7 +251,8 @@ func Match(c proto.Candidate, st *proto.StreamState) (proto.Message, bool) {
 	} else {
 		p.CSRC = nil // scratch reuse leaves a non-nil empty slice
 	}
-	return proto.Message{Protocol: proto.RTP, Length: len(b), RTP: p}, true
+	*out = proto.Message{Protocol: proto.RTP, Length: len(b), RTP: p}
+	return true
 }
 
 // Accept post-processes an accepted RTP message: when a strong second
@@ -268,10 +273,19 @@ func (handler) Accept(payload []byte, m proto.Message, st *proto.StreamState) pr
 // a second message start. Only strong candidates count: a magic-cookie
 // STUN header, a valid RTCP compound, or an RTP header whose SSRC
 // matches the outer message (Zoom's two-RTP case).
+//
+// The search visits every byte of every accepted RTP payload, so each
+// offset is first settled on fixed-offset bytes. Every such pre-gate
+// rejects only what the full matcher behind it would reject anyway; a
+// surviving offset gets the full match, whose output lands in the
+// stream state's scratch Message.
 func findStrongCandidate(payload []byte, m proto.Message, st *proto.StreamState) (int, bool) {
 	rs := state(st)
 	start := m.Offset + m.RTP.HeaderSize() + 1
 	end := m.Offset + m.Length
+	c := proto.Candidate{Payload: payload[:end]}
+	// The loop bound leaves at least rtp.HeaderLen+1 bytes after j, so
+	// the fixed-offset reads below (up to j+12) stay in bounds.
 	for j := start; j < end-rtp.HeaderLen; j++ {
 		// The candidates' first-byte slices are disjoint (RFC 7983:
 		// STUN's top bits are 00, the RTP/RTCP version bits are 10), so
@@ -279,28 +293,40 @@ func findStrongCandidate(payload []byte, m proto.Message, st *proto.StreamState)
 		// space skips the scan entirely.
 		switch payload[j] >> 6 {
 		case 0:
-			c := proto.Candidate{Payload: payload[:end], Offset: j}
-			if _, ok := stundrv.MatchCookie(c, st); ok {
+			// MatchCookie needs a whole STUN header and the magic
+			// cookie at j+4.
+			if j+stun.HeaderLen > end || binary.BigEndian.Uint32(payload[j+4:]) != stun.MagicCookie {
+				continue
+			}
+			c.Offset = j
+			if stundrv.MatchCookie(c, st, &rs.inner) {
 				return j, true
 			}
 		case 2:
-			c := proto.Candidate{Payload: payload[:end], Offset: j}
-			// An RTCP region inside an RTP payload must show SSRC
-			// support: encrypted media bytes occasionally imitate an
-			// RTCP header, and accepting one would wrongly truncate the
-			// outer RTP message.
-			if m2, ok := rtcpdrv.Match(c, st); ok && len(m2.RTCP) > 0 {
-				if ssrc, has := m2.RTCP[0].SenderSSRC(); has {
-					_, known := rs.lastSeq[ssrc]
-					if known || (st.ValidatedSSRC != nil && st.ValidatedSSRC[ssrc]) {
-						return j, true
+			c.Offset = j
+			if pt := payload[j+1]; pt >= 192 && pt <= 223 {
+				// RFC 5761 RTCP range, which Match rejects: only an RTCP
+				// compound can start here. It must show SSRC support:
+				// encrypted media bytes occasionally imitate an RTCP
+				// header, and accepting one would wrongly truncate the
+				// outer RTP message.
+				if rtcpdrv.Match(c, st, &rs.inner) && len(rs.inner.RTCP) > 0 {
+					if ssrc, has := rs.inner.RTCP[0].SenderSSRC(); has {
+						_, known := rs.lastSeq[ssrc]
+						if known || (st.ValidatedSSRC != nil && st.ValidatedSSRC[ssrc]) {
+							return j, true
+						}
 					}
 				}
+				continue
 			}
-			if inner, ok := Match(c, st); ok {
-				if inner.RTP.SSRC == m.RTP.SSRC && inner.RTP.SequenceNumber != m.RTP.SequenceNumber {
-					return j, true
-				}
+			// Outside the RTCP range only a second RTP header of the
+			// outer stream counts, and its SSRC sits at j+8.
+			if binary.BigEndian.Uint32(payload[j+8:]) != m.RTP.SSRC {
+				continue
+			}
+			if Match(c, st, &rs.inner) && rs.inner.RTP.SequenceNumber != m.RTP.SequenceNumber {
+				return j, true
 			}
 		}
 	}

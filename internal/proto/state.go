@@ -44,6 +44,9 @@ type ScanState struct {
 	// weak-signature probers during pass 1.
 	ValidatedSSRC map[uint32]bool
 
+	// msg receives ConsumeProbe's Validate output; only its Length is
+	// read, before the next probe overwrites it.
+	msg   Message
 	slots [MaxIDs]any
 }
 
