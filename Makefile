@@ -17,9 +17,13 @@ COVER_FLOOR_INGEST ?= 85
 COVER_FLOOR_QOE   ?= 80
 COVER_FLOOR_ALERT ?= 80
 
-.PHONY: all vet staticcheck build test race fuzz-smoke cover bench bench-json bench-check proto-list trace-smoke impair-smoke shard-smoke daemon-smoke e2ebench-vet ci
+.PHONY: all fmt-check vet staticcheck build test race fuzz-smoke cover bench bench-json bench-check proto-list trace-smoke impair-smoke shard-smoke daemon-smoke e2ebench-vet ci
 
 all: build
+
+# Fails when any Go file is not gofmt-formatted (the list names them).
+fmt-check:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -139,7 +143,8 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
 # Regenerate the hot-path throughput baseline: the scenario matrix
-# (Feed / FeedBatch / batch over relay, P2P, and media-heavy loads)
+# (Feed / FeedBatch over relay, P2P, and media-heavy loads, plus the
+# 1/2/4-shard curve on media-heavy)
 # measured best-of-N and written as BENCH_hotpath.json. Run on a quiet
 # machine and commit the result alongside the change that moved it.
 bench-json:
@@ -163,4 +168,4 @@ bench-check:
 proto-list:
 	$(GO) run ./cmd/rtccheck -protocols
 
-ci: vet staticcheck build e2ebench-vet race fuzz-smoke cover trace-smoke impair-smoke shard-smoke daemon-smoke bench-check
+ci: fmt-check vet staticcheck build e2ebench-vet race fuzz-smoke cover trace-smoke impair-smoke shard-smoke daemon-smoke bench-check

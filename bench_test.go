@@ -792,7 +792,7 @@ func BenchmarkFilter_StageAblation(b *testing.B) {
 }
 
 // BenchmarkHotPath runs the internal/bench scenario matrix — every
-// ingestion mode (per-packet Feed, pooled FeedBatch, buffered batch)
+// ingestion mode (per-packet Feed, pooled FeedBatch, sharded ingest)
 // over the relay, P2P, and media-heavy cells. The same harness backs
 // `make bench-json` and the CI regression gate, so these numbers and
 // the committed BENCH_hotpath.json baseline measure identical code.

@@ -1,6 +1,6 @@
 // Command rtcbench measures the analyzer's hot-path throughput over
 // the internal/bench scenario matrix — every ingestion mode
-// (per-packet Feed, pooled FeedBatch, buffered batch, sharded ingest)
+// (per-packet Feed, pooled FeedBatch, sharded ingest)
 // over the relay, P2P, and media-heavy synthetic captures — and writes
 // or checks a machine-readable baseline.
 //
@@ -173,9 +173,7 @@ func main() {
 	}
 }
 
-// readBaseline parses either baseline format: the current
-// {host, results} object or the historical bare result array (whose
-// host is unknown and therefore never comparable).
+// readBaseline parses a {host, results} baseline file.
 func readBaseline(path string) (map[string]bench.Result, bench.Host, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -183,11 +181,7 @@ func readBaseline(path string) (map[string]bench.Result, bench.Host, error) {
 	}
 	var file bench.File
 	if err := json.Unmarshal(buf, &file); err != nil {
-		var list []bench.Result
-		if err2 := json.Unmarshal(buf, &list); err2 != nil {
-			return nil, bench.Host{}, fmt.Errorf("%s: %w", path, err)
-		}
-		file.Results = list
+		return nil, bench.Host{}, fmt.Errorf("%s: %w", path, err)
 	}
 	out := make(map[string]bench.Result, len(file.Results))
 	for _, r := range file.Results {

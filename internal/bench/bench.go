@@ -1,7 +1,7 @@
 // Package bench is the shared harness behind the hot-path benchmark
 // suite: it prepares synthetic app captures and drives the analyzer
 // through each ingestion mode (per-packet Feed, pooled FeedBatch,
-// buffered batch). The root-package BenchmarkHotPath and the rtcbench
+// sharded ingest). The root-package BenchmarkHotPath and the rtcbench
 // command (make bench-json, CI regression gate) run the same scenarios
 // through this package, so the committed BENCH_hotpath.json baseline
 // and `go test -bench` measure identical code.
@@ -44,9 +44,6 @@ const (
 	// reused reader ring and delivered in 64-frame FeedBatch calls,
 	// payload bytes kept in recycled arena chunks.
 	ModeFeedBatch Mode = "feedbatch"
-	// ModeBatch is the read-everything baseline: all frames buffered,
-	// every per-packet record retained (KeepPayloads + FramesStable).
-	ModeBatch Mode = "batch"
 	// ModeSharded is the sharded ingest tier: frames routed by flow
 	// 5-tuple onto Scenario.Shards single-writer analyzer shards
 	// (internal/ingest), FeedBatch-fed like ModeFeedBatch. The clock
@@ -78,8 +75,9 @@ type Scenario struct {
 	Shards int
 }
 
-// Scenarios returns the benchmark matrix: every ingestion mode over a
-// relay-heavy pairing, a P2P pairing, and a media-heavy relay load.
+// Scenarios returns the benchmark matrix: every serial ingestion mode
+// over a relay-heavy pairing, a P2P pairing, and a media-heavy relay
+// load, plus the shard-scaling curve.
 // Three cells per mode keep `make bench-json` under a minute while
 // covering both traffic shapes (TURN-relayed Zoom, peer-to-peer Meet)
 // plus the media-dominated load where per-packet buffer churn is the
@@ -101,7 +99,7 @@ func Scenarios() []Scenario {
 		{"p2p", appsim.GoogleMeet, appsim.WiFiP2P, 25, false, true, 6 * time.Second, 4 * time.Second},
 		{"media-heavy", appsim.Zoom, appsim.WiFiRelay, 120, true, false, 10 * time.Second, 1 * time.Second},
 	}
-	for _, mode := range []Mode{ModeFeed, ModeFeedBatch, ModeBatch} {
+	for _, mode := range []Mode{ModeFeed, ModeFeedBatch} {
 		for _, c := range cells {
 			out = append(out, Scenario{
 				Name:         fmt.Sprintf("%s/%s", mode, c.label),
@@ -200,9 +198,6 @@ func (p *Prepared) RunOnce() (time.Duration, error) {
 		// queueing cost — and, on multi-core hosts, the shard speedup.
 		cfg.Pool = bufpool.Global()
 		return p.runSharded(cfg)
-	case ModeBatch:
-		opts.KeepPayloads = true
-		cfg.FramesStable = true
 	}
 	a, err := core.NewAnalyzer(cfg, opts)
 	if err != nil {

@@ -66,8 +66,7 @@ func cpuModel() string {
 }
 
 // File is the BENCH_hotpath.json format: the host the numbers were
-// measured on plus one Result per scenario. rtcbench still reads the
-// historical bare-array format (host treated as unknown).
+// measured on plus one Result per scenario.
 type File struct {
 	Host    Host     `json:"host"`
 	Results []Result `json:"results"`

@@ -40,7 +40,7 @@ type AnalyzerConfig struct {
 	// Pool, when non-nil, copies kept UDP payloads into per-stream
 	// arenas drawn from this pool instead of heap-allocating each copy,
 	// and releases a stream's arena when its payloads are dropped (an
-	// online filter removal, a chunk finalization, or Close). Together
+	// online filter removal, an eviction, or Close). Together
 	// with FeedBatch this makes the steady-state datagram path
 	// allocation-free. Ownership rules are in DESIGN.md §14.
 	// Incompatible with Options.KeepPayloads (the batch result would
@@ -69,19 +69,20 @@ type streamState struct {
 	// extracted at feed time so Close never needs TCP payloads.
 	sni   string
 	sniOK bool
-	// insp is the incremental DPI state for provisionally-RTC UDP
-	// streams.
-	insp *dpi.StreamInspector
-	// session and partial carry compliance and findings state across
-	// chunked finalizations (eviction mode).
+	// insp, session, and partial carry the DPI, compliance, and
+	// findings state of a provisionally-RTC UDP stream across chunked
+	// finalizations (eviction mode). finalizeStream creates them at the
+	// stream's first finalization; until then the kept records in s
+	// are the stream's only DPI input.
+	insp    *dpi.StreamInspector
 	session *compliance.Session
 	partial *streamPartial
 	// span is the stream's decision-trace span (nil when tracing is
-	// off); it buffers events until the analyzer flushes it at a
-	// deterministic point.
+	// off), created with insp; it buffers events until the analyzer
+	// flushes it at a deterministic point.
 	span *obs.Span
 	// arena holds the stream's pooled payload copies (pool mode only);
-	// released whenever the stream's buffered payloads are dropped.
+	// released together with the records that reference them.
 	arena *bufpool.Arena
 	// prev/next link the stream into the analyzer's intrusive recency
 	// list (least-recent first); inList marks membership (false while
@@ -105,12 +106,13 @@ type streamState struct {
 }
 
 // Analyzer is the incremental analysis pipeline: FeedBatch advances
-// packet decoding, flow grouping, online filtering, and DPI per frame;
-// Close reconciles the online filter verdicts against the full
-// two-stage filter and assembles the CaptureAnalysis. With
-// Options.KeepPayloads (and no eviction) the result is byte-identical
-// to the batch pipeline; the offline entry points are thin wrappers
-// over this type.
+// packet decoding, flow grouping, payload retention, and online
+// filtering per frame; Close reconciles the online filter verdicts
+// against the full two-stage filter, finalizes the surviving streams
+// (DPI, compliance, QoE, findings), and assembles the CaptureAnalysis.
+// With Options.KeepPayloads (and no eviction) the result is
+// byte-identical to the batch pipeline; the offline entry points are
+// thin wrappers over this type.
 type Analyzer struct {
 	cfg  AnalyzerConfig
 	opts Options
@@ -253,7 +255,8 @@ func (a *Analyzer) FeedBatch(batch []Datagram) error {
 }
 
 // feedOne is FeedBatch's per-frame pipeline step: decode, flow
-// grouping, online filtering, and DPI pass 1.
+// grouping, payload retention, and online filtering. DPI runs later,
+// over the kept records, when the stream is finalized.
 func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 	if a.frames == 0 {
 		a.firstTS = ts
@@ -278,24 +281,20 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 	var st *streamState
 	if a.lastSt != nil && key == a.lastKey {
 		st = a.lastSt
-	} else {
-		st = a.states[key]
+	} else if st = a.states[key]; st == nil {
+		// flow.AddPacket cannot fail past the proto check above, so the
+		// state can exist before the stream does; pool mode needs it
+		// there to hold the payload copy.
+		st = &streamState{birth: seq}
+		a.states[key] = st
 	}
-	isNew := st == nil
 
 	// Retention: batch compatibility keeps everything; otherwise only
 	// provisionally-RTC UDP streams need their records (payload for
 	// DPI, timestamp for compliance, direction for findings).
-	keep := a.opts.KeepPayloads || (proto == layers.IPProtocolUDP && (isNew || !st.removed))
+	keep := a.opts.KeepPayloads || (proto == layers.IPProtocolUDP && !st.removed)
 	if keep && !a.cfg.FramesStable {
 		if a.cfg.Pool != nil {
-			// Pool mode: the copy lands in the stream's arena, which
-			// requires the state up front (flow.AddPacket cannot fail
-			// past the proto check above, so pre-creating is safe).
-			if isNew {
-				st = &streamState{birth: seq}
-				a.states[key] = st
-			}
 			if st.arena == nil {
 				st.arena = a.cfg.Pool.NewArena()
 			}
@@ -309,11 +308,11 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 			pkt.Payload = cp
 		}
 	}
-	var s *flow.Stream
-	if st != nil && st.s != nil {
+	if st.s == nil {
+		st.s, _ = a.table.AddPacket(ts, pkt, keep)
+	} else {
 		// Known stream: append directly, skipping the key
 		// re-canonicalization and stream-map lookup.
-		s = st.s
 		dir := flow.DirAToB
 		if key.A != src {
 			dir = flow.DirBToA
@@ -322,19 +321,7 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 		if pkt.TCP != nil {
 			flags = pkt.TCP.Flags
 		}
-		a.table.AddToStream(s, ts, dir, src, dst, pkt.Payload, flags, keep)
-	} else {
-		var ok bool
-		s, ok = a.table.AddPacket(ts, pkt, keep)
-		if !ok {
-			return
-		}
-	}
-	if st == nil {
-		st = &streamState{s: s, birth: seq}
-		a.states[key] = st
-	} else if st.s == nil {
-		st.s = s
+		a.table.AddToStream(st.s, ts, dir, src, dst, pkt.Payload, flags, keep)
 	}
 	a.lastKey, a.lastSt = key, st
 
@@ -363,29 +350,10 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 			a.recencyPushBack(st)
 			a.streamLive(+1)
 		}
-		if !st.removed && a.removableNow(s, st) {
+		if !st.removed && a.removableNow(st) {
 			st.removed = true
-			if !a.opts.KeepPayloads {
-				s.Packets = nil
-			}
-			st.insp = nil
-			if st.arena != nil {
-				// The records and inspector buffer are gone; the copies
-				// are dead, so the chunks go back to the pool.
-				st.arena.Release()
-				st.arena = nil
-			}
+			a.release(st, false)
 		}
-	}
-	if proto == layers.IPProtocolUDP && !st.removed {
-		if st.insp == nil {
-			st.insp = a.engine.NewStreamInspector()
-			if a.trace != nil {
-				st.span = a.trace.StreamSpan(key.String())
-				st.insp.SetSpan(st.span)
-			}
-		}
-		st.insp.Feed(pkt.Payload)
 	}
 }
 
@@ -443,7 +411,8 @@ func (a *Analyzer) streamLive(delta int) {
 // only accumulates — so a true verdict is guaranteed to hold at Close,
 // which is what makes dropping the stream's payloads safe. The final
 // stage/rule attribution is recomputed by the full filter at Close.
-func (a *Analyzer) removableNow(s *flow.Stream, st *streamState) bool {
+func (a *Analyzer) removableNow(st *streamState) bool {
+	s := st.s
 	if filterpipe.NonRTCPorts[s.Key.A.Port] || filterpipe.NonRTCPorts[s.Key.B.Port] {
 		return true
 	}
@@ -482,55 +451,74 @@ func (a *Analyzer) evictIdle(now time.Time) {
 		if a.trace != nil {
 			a.trace.StreamEvicted(st.s.Key.String())
 		}
-		a.finalizeChunk(st)
+		a.finalizeStream(st, true)
+		// Eviction runs inside the single-goroutine FeedBatch, so this
+		// is a deterministic export point for the chunk's events.
+		st.span.Flush()
 		a.streamLive(-1)
 		a.am.evicted.Inc()
 		st = next
 	}
 }
 
-// finalizeChunk runs DPI pass 2, compliance, and findings over a
-// stream's buffered records and releases them. The per-stream contexts
-// persist in the state, so a later chunk continues seamlessly.
-func (a *Analyzer) finalizeChunk(st *streamState) {
+// finalizeStream runs DPI, compliance, QoE, and findings over the
+// records a provisionally-RTC UDP stream kept since its last
+// finalization, then releases them; the per-stream contexts persist in
+// the state, so a later chunk continues seamlessly. Eviction calls it
+// with wake set, since the stream may be fed again; Close calls it
+// once per final RTC stream from the worker pool, which is safe
+// because all touched state is per-stream (the shared engine, tracer,
+// and states map are only read, and the buffer pool takes concurrent
+// releases). It returns the stream's partial (nil for streams that
+// carry no DPI state).
+func (a *Analyzer) finalizeStream(st *streamState, wake bool) *streamPartial {
 	s := st.s
-	if s.Key.Proto == layers.IPProtocolUDP && !st.removed && st.insp != nil && st.insp.Pending() > 0 {
-		if st.partial == nil {
-			st.partial = newStreamPartial(st.span, s.Key.String(), a.opts.QoE)
+	p := st.partial
+	if s.Key.Proto == layers.IPProtocolUDP && !st.removed {
+		if p == nil {
+			key := s.Key.String()
+			st.span = a.trace.StreamSpan(key)
+			st.insp = a.engine.NewStreamInspector()
+			st.insp.SetSpan(st.span)
 			checker := compliance.NewCheckerWith(a.opts.Registry)
 			checker.SetMetrics(a.opts.Metrics)
 			st.session = checker.NewSession()
+			p = newStreamPartial(st.span, key, a.opts.QoE)
+			st.partial = p
 		}
-		recs := s.Packets
-		results := st.insp.Finalize()
-		st.partial.consume(recs, results, st.session, a.opts.SkipFindings)
-		// Eviction happens during the single-goroutine FeedBatch, so
-		// flushing here is a deterministic export point for the chunk's
-		// events.
-		st.span.Flush()
+		if recs := s.Packets; len(recs) > 0 {
+			results := st.insp.Finalize(len(recs), func(i int) []byte { return recs[i].Payload })
+			p.consume(recs, results, st.session, a.opts.SkipFindings)
+		}
 	}
-	if !a.opts.KeepPayloads {
-		a.dropRecords(s)
-	}
-	if st.arena != nil {
-		// Everything in the chunk has been consumed (verdicts and trace
-		// windows copy the bytes they keep); the payload copies go back
-		// to the pool. The arena stays usable for a wake-up.
-		st.arena.Release()
-	}
+	a.release(st, wake)
+	return p
 }
 
-// dropRecords releases a stream's per-packet records. In pool mode the
-// record storage is recycled in place (the next chunk reuses the
-// array); otherwise it is handed to the GC, matching the historical
-// nil convention the KeepPayloads result shape relies on.
-func (a *Analyzer) dropRecords(s *flow.Stream) {
-	if a.cfg.Pool != nil {
-		clear(s.Packets)
-		s.Packets = s.Packets[:0]
-		return
+// release ends a stream's buffered chunk: its kept records go, and so
+// do the pooled payload copies behind them (verdicts and trace windows
+// copy the bytes they keep). A stream that can wake up again (eviction)
+// keeps its record array and arena for the next chunk, so pooled
+// wake-ups stay allocation-free; one that cannot (an online removal, a
+// Close-time reclassification, or Close's own finalization) lets go of
+// both, along with its DPI state. KeepPayloads analyzers keep every
+// record: they are the batch-compatible result.
+func (a *Analyzer) release(st *streamState, wake bool) {
+	if !a.opts.KeepPayloads {
+		if wake {
+			clear(st.s.Packets)
+			st.s.Packets = st.s.Packets[:0]
+		} else {
+			st.s.Packets = nil
+		}
 	}
-	s.Packets = nil
+	if st.arena != nil {
+		st.arena.Release()
+	}
+	if !wake {
+		st.arena = nil
+		st.insp, st.session, st.partial, st.span = nil, nil, nil, nil
+	}
 }
 
 // Close reconciles the online verdicts against the full two-stage
@@ -575,9 +563,6 @@ func (a *Analyzer) finalize() (*CaptureAnalysis, error) {
 		Trace:     a.trace,
 	}, func(s *flow.Stream) (string, bool) {
 		st := a.states[s.Key]
-		if st == nil {
-			return "", false
-		}
 		return st.sni, st.sniOK
 	})
 
@@ -592,32 +577,21 @@ func (a *Analyzer) finalize() (*CaptureAnalysis, error) {
 		ca.Bytes += s.Bytes
 	}
 
-	// Reconciliation: streams admitted provisionally (DPI state built)
-	// that the full filter removed. Their pipeline state is discarded —
-	// monotonicity guarantees the reverse (provisionally removed but
-	// finally RTC) cannot happen.
+	// Reconciliation: UDP streams admitted provisionally that the full
+	// filter removed. Their kept records and any DPI state are
+	// discarded — monotonicity guarantees the reverse (provisionally
+	// removed but finally RTC) cannot happen.
 	for _, s := range fres.RemovedStreams {
 		st := a.states[s.Key]
-		if st == nil || st.removed || s.Key.Proto != layers.IPProtocolUDP {
+		if st.removed || s.Key.Proto != layers.IPProtocolUDP {
 			continue
 		}
-		if st.insp != nil || st.partial != nil {
-			a.am.reclassified.Inc()
-			if a.trace != nil {
-				rm := fres.Removed[s.Key]
-				a.trace.StreamReclassified(s.Key.String(), rm.Stage, string(rm.Rule))
-			}
-			st.insp = nil
-			st.partial = nil
-			st.span = nil
+		a.am.reclassified.Inc()
+		if a.trace != nil {
+			rm := fres.Removed[s.Key]
+			a.trace.StreamReclassified(s.Key.String(), rm.Stage, string(rm.Rule))
 		}
-		if !a.opts.KeepPayloads {
-			s.Packets = nil
-		}
-		if st.arena != nil {
-			st.arena.Release()
-			st.arena = nil
-		}
+		a.release(st, false)
 	}
 
 	// Finalize the surviving UDP RTC streams, fanned out exactly like
@@ -632,7 +606,7 @@ func (a *Analyzer) finalize() (*CaptureAnalysis, error) {
 	partials := make([]*streamPartial, len(udp))
 	forEachIndexed(len(udp), a.opts.workers(), func(i int) error {
 		start := cm.streamSeconds.Start()
-		partials[i] = a.finishStream(udp[i])
+		partials[i] = a.finalizeStream(a.states[udp[i].Key], false)
 		cm.streamSeconds.ObserveSince(start)
 		return nil
 	})
@@ -651,32 +625,4 @@ func (a *Analyzer) finalize() (*CaptureAnalysis, error) {
 	a.active = 0
 	a.am.active.Set(0)
 	return ca, nil
-}
-
-// finishStream completes one final-RTC UDP stream: last DPI chunk,
-// compliance, findings. Safe to run concurrently across streams — all
-// touched state is per-stream (the shared engine and states map are
-// read-only here).
-func (a *Analyzer) finishStream(s *flow.Stream) *streamPartial {
-	st := a.states[s.Key]
-	if st.partial == nil {
-		st.partial = newStreamPartial(st.span, s.Key.String(), a.opts.QoE)
-		checker := compliance.NewCheckerWith(a.opts.Registry)
-		checker.SetMetrics(a.opts.Metrics)
-		st.session = checker.NewSession()
-	}
-	if st.insp != nil && st.insp.Pending() > 0 {
-		st.partial.consume(s.Packets, st.insp.Finalize(), st.session, a.opts.SkipFindings)
-	}
-	if !a.opts.KeepPayloads {
-		s.Packets = nil
-	}
-	if st.arena != nil {
-		// The verdicts and trace events copied whatever bytes they
-		// keep, so the stream's pooled copies are dead; the shared pool
-		// is safe to return to from concurrent workers.
-		st.arena.Release()
-		st.arena = nil
-	}
-	return st.partial
 }

@@ -127,9 +127,8 @@ func TestHotPathAllocs(t *testing.T) {
 				binary.BigEndian.PutUint16(payloads[i][2:], seq)
 				binary.BigEndian.PutUint32(payloads[i][4:], uint32(seq)*960)
 				seq++
-				si.Feed(payloads[i])
 			}
-			if got := si.Finalize(); len(got) != chunk {
+			if got := si.Finalize(chunk, func(i int) []byte { return payloads[i] }); len(got) != chunk {
 				t.Fatalf("Finalize returned %d results, want %d", len(got), chunk)
 			}
 		}
@@ -139,7 +138,7 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(200, feedChunk)
 		if allocs != 0 {
-			t.Errorf("StreamInspector chunk (feed %d + finalize) allocates %.1f/op, want 0", chunk, allocs)
+			t.Errorf("StreamInspector chunk (finalize %d) allocates %.1f/op, want 0", chunk, allocs)
 		}
 	})
 
@@ -150,9 +149,8 @@ func TestHotPathAllocs(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			frame := hotRTPFrame(hotSrc, hotDst, 50000, 4444, 0xbeef, uint16(i))
 			payloads = append(payloads, frame[28:])
-			si.Feed(frame[28:])
 		}
-		results := si.Finalize()
+		results := si.Finalize(len(payloads), func(i int) []byte { return payloads[i] })
 		msgIdx := -1
 		for i := len(results) - 1; i >= 0; i-- {
 			if len(results[i].Messages) > 0 {

@@ -101,9 +101,6 @@ func MergeAnalyzers(shards []*Analyzer) (*CaptureAnalysis, error) {
 	}
 	sort.Slice(states, func(i, j int) bool { return states[i].birth < states[j].birth })
 	for _, st := range states {
-		if st.s == nil {
-			continue
-		}
 		if err := m.table.AbsorbStream(st.s); err != nil {
 			return nil, err
 		}

@@ -6,19 +6,19 @@ import (
 )
 
 // StreamInspector runs Algorithm 1 over the datagrams of one transport
-// stream incrementally. Feed buffers the payload; Finalize runs pass 1
-// (the registered probers' stream-level scans) as one batched sweep
-// over everything buffered since the previous Finalize, then pass 2
-// over the same chunk, and releases the payload references, so a
-// caller that finalizes periodically never holds payload bytes past
-// the DPI stage.
+// stream incrementally, one chunk per Finalize. The inspector holds no
+// payloads: each Finalize reads the chunk's datagrams from the caller
+// (the streaming analyzer's per-packet records), runs pass 1 (the
+// registered probers' stream-level scans) as one batched sweep over the
+// chunk, then pass 2 over the same chunk, so a caller that finalizes
+// periodically never holds payload bytes past the DPI stage.
 //
-// Running pass 1 at the chunk boundary instead of per Feed changes no
-// output: pass 2 of a chunk consults the validated-SSRC evidence as of
-// the chunk's end, and whether that evidence was tallied datagram by
-// datagram as each arrived or in one sweep over the buffered chunk,
-// the sightings happen in the same stream order over the same bytes.
-// What it changes is cost shape: the ingestion path does per-packet
+// Running pass 1 at the chunk boundary instead of per datagram changes
+// no output: pass 2 of a chunk consults the validated-SSRC evidence as
+// of the chunk's end, and whether that evidence was tallied datagram by
+// datagram as each arrived or in one sweep over the chunk, the
+// sightings happen in the same stream order over the same bytes. What
+// it changes is cost shape: the ingestion path does per-packet
 // bookkeeping only, and the two scan passes run back to back over
 // payloads that are still warm in cache.
 //
@@ -49,16 +49,12 @@ type StreamInspector struct {
 	e   *Engine
 	m   engineMetrics
 	reg *proto.Registry
-	// scan is the pass-1 state, persistent across Feeds: the probers'
-	// scratch stream state plus the validated-SSRC evidence.
+	// scan is the pass-1 state, persistent across Finalize calls: the
+	// probers' scratch stream state plus the validated-SSRC evidence.
 	scan *proto.ScanState
 	// ctx is the pass-2 context, persistent across Finalize calls so a
 	// resumed (fed-again) stream continues its sequence state.
 	ctx *StreamContext
-	// payloads buffers datagrams fed since the last Finalize. The
-	// backing array is reused across chunks (references are cleared at
-	// Finalize so released pool buffers are not pinned).
-	payloads [][]byte
 	// results is the reused Finalize output buffer; each Finalize
 	// overwrites the previous chunk's results, which the pipeline has
 	// consumed by then (DESIGN.md §14).
@@ -86,14 +82,7 @@ func (e *Engine) NewStreamInspector() *StreamInspector {
 	}
 }
 
-// Feed buffers one datagram payload for the next Finalize. The payload
-// is retained by reference until then; both scan passes run over the
-// buffered chunk at Finalize.
-func (si *StreamInspector) Feed(payload []byte) {
-	si.payloads = append(si.payloads, payload)
-}
-
-// scanOne advances pass 1 over one buffered payload.
+// scanOne advances pass 1 over one payload.
 func (si *StreamInspector) scanOne(payload []byte) {
 	limit := si.e.MaxOffset
 	if limit <= 0 {
@@ -130,20 +119,19 @@ func (si *StreamInspector) scanOne(payload []byte) {
 	}
 }
 
-// Pending reports how many fed datagrams await Finalize.
-func (si *StreamInspector) Pending() int { return len(si.payloads) }
-
-// Finalize runs pass 2 over the buffered datagrams with the
-// validated-SSRC set as currently known, records the per-datagram
-// metrics, releases the payload buffer, and returns one Result per
-// buffered datagram in feed order. The inspector remains usable: later
-// Feeds start a new chunk that continues the same stream state.
+// Finalize inspects the next chunk of the stream: the n datagrams
+// payload(0) … payload(n-1), in capture order. It runs pass 1 over the
+// chunk, then pass 2 with the validated-SSRC set as currently known,
+// records the per-datagram metrics, and returns one Result per
+// datagram. payload is called only during Finalize and its bytes are
+// not retained. The inspector remains usable: the next Finalize
+// continues the same stream state.
 //
 // The returned slice (and the message storage behind it) is a
 // per-inspector scratch buffer, valid only until the next Finalize on
 // the same inspector; the pipeline consumes each chunk's results
-// before feeding the next (DESIGN.md §14).
-func (si *StreamInspector) Finalize() []Result {
+// before inspecting the next (DESIGN.md §14).
+func (si *StreamInspector) Finalize(n int, payload func(int) []byte) []Result {
 	if si.ctx == nil {
 		si.ctx = NewStreamContext()
 	}
@@ -152,15 +140,15 @@ func (si *StreamInspector) Finalize() []Result {
 	si.ctx.State.Epoch++
 	si.ctx.Span = si.span
 	// Pass 1: one batched sweep over the chunk, tallying validation
-	// evidence in feed order before any pass-2 decision is made.
-	for _, p := range si.payloads {
-		si.scanOne(p)
+	// evidence in capture order before any pass-2 decision is made.
+	for i := 0; i < n; i++ {
+		si.scanOne(payload(i))
 	}
 	si.ctx.State.ValidatedSSRC = si.scan.ValidatedSSRC
 	out := si.results[:0]
-	for _, p := range si.payloads {
+	for i := 0; i < n; i++ {
 		start := si.m.latency.Start()
-		r := si.e.Inspect(p, si.ctx)
+		r := si.e.Inspect(payload(i), si.ctx)
 		si.m.latency.ObserveSince(start)
 		si.m.classes[r.Class].Inc()
 		for _, msg := range r.Messages {
@@ -172,25 +160,17 @@ func (si *StreamInspector) Finalize() []Result {
 	}
 	si.m.attempts.Add(uint64(si.ctx.shiftAttempts - si.drainedAttempts))
 	si.drainedAttempts = si.ctx.shiftAttempts
-	// Drop the payload references (the buffers may return to a pool)
-	// but keep the backing array for the next chunk.
-	clear(si.payloads)
-	si.payloads = si.payloads[:0]
 	si.results = out
 	return out
 }
 
 // InspectStream runs Algorithm 1 over all datagrams of one transport
-// stream, in capture order, with full two-stage validation: a
-// StreamInspector fed every payload and finalized once, which makes the
+// stream, in capture order, with full two-stage validation: one
+// StreamInspector finalized once over every payload, which makes the
 // batch and streaming paths the same code by construction.
 //
 // Single-datagram Inspect remains available for stateless use, but the
 // pipeline always uses InspectStream or a StreamInspector.
 func (e *Engine) InspectStream(payloads [][]byte) []Result {
-	si := e.NewStreamInspector()
-	for _, p := range payloads {
-		si.Feed(p)
-	}
-	return si.Finalize()
+	return e.NewStreamInspector().Finalize(len(payloads), func(i int) []byte { return payloads[i] })
 }

@@ -164,7 +164,7 @@ type ShardedAnalyzer struct {
 	seq    uint64
 	stable bool
 	closed bool
-	pkt    layers.Packet // decode scratch for the routing slow path
+	pkt    layers.Packet // decode scratch for routing
 	m      ingestMetrics
 
 	fed atomic.Uint64
@@ -216,17 +216,14 @@ func newTier(acfg core.AnalyzerConfig, opts core.Options, cfg Config, depth, bat
 	return s, nil
 }
 
-// route picks the owning shard for a frame. The fast fingerprint reads
-// the 5-tuple at fixed offsets; frames it declines are fully decoded,
-// and frames without a routable transport (undecodable, or no UDP/TCP
-// layer) spread round-robin by arrival — they never form a flow, so
-// any deterministic placement preserves the merge invariants (each
-// shard still counts them toward frames/decode errors).
+// route picks the owning shard for a frame by the flow fingerprint of
+// its decoded 5-tuple. Frames without a routable transport
+// (undecodable, or no UDP/TCP layer) spread round-robin by arrival —
+// they never form a flow, so any deterministic placement preserves the
+// merge invariants (each shard still counts them toward frames/decode
+// errors).
 func (s *ShardedAnalyzer) route(frame []byte) *shard {
 	n := uint64(len(s.shards))
-	if fp, ok := layers.FlowFingerprint(s.acfg.LinkType, frame); ok {
-		return s.shards[fp%n]
-	}
 	if err := layers.DecodeInto(&s.pkt, s.acfg.LinkType, frame); err == nil {
 		if fp, ok := layers.FingerprintPacket(&s.pkt); ok {
 			return s.shards[fp%n]

@@ -1,29 +1,13 @@
 package layers
 
-import (
-	"encoding/binary"
-
-	"github.com/rtc-compliance/rtcc/internal/pcap"
-)
-
 // This file computes direction-invariant flow fingerprints: a 64-bit
-// hash of a frame's transport 5-tuple that is identical for both
-// directions of a conversation. The sharded ingest router keys shard
-// selection on it, so both halves of a stream — and therefore all of a
-// flow.Key's packets — land on the same single-writer analyzer shard.
-//
-// Two paths produce the fingerprint and must agree wherever both
-// apply (fingerprint_test.go holds the differential property):
-//
-//   - FlowFingerprint reads addresses and ports at fixed offsets
-//     straight out of the frame, touching only the header bytes the
-//     5-tuple needs. It declines (ok=false) anything unusual — IPv4
-//     options, non-UDP/TCP transports, truncation — rather than guess.
-//   - FingerprintPacket derives the same hash from a fully decoded
-//     Packet, serving as the fallback for frames the fast path
-//     declined and as the reference the fast path is tested against.
+// hash of a decoded packet's transport 5-tuple that is identical for
+// both directions of a conversation. The sharded ingest router keys
+// shard selection on it, so both halves of a stream — and therefore
+// all of a flow.Key's packets — land on the same single-writer analyzer
+// shard.
 
-// FNV-1a parameters, shared by both fingerprint paths.
+// FNV-1a parameters.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -60,91 +44,8 @@ func combineFlow(proto IPProtocol, a, b uint64) uint64 {
 	return h
 }
 
-// FlowFingerprint returns the direction-invariant 5-tuple fingerprint
-// of a raw frame without building a Packet. ok is false when the frame
-// needs the full decoder's judgment (IPv4 options, unsupported link or
-// transport types, truncated headers); the caller then falls back to
-// DecodeInto plus FingerprintPacket, which yields the identical hash
-// for any frame both paths accept.
-func FlowFingerprint(linkType pcap.LinkType, data []byte) (uint64, bool) {
-	switch linkType {
-	case pcap.LinkTypeEthernet:
-		if len(data) < 14 {
-			return 0, false
-		}
-		switch binary.BigEndian.Uint16(data[12:14]) {
-		case EtherTypeIPv4:
-			return fingerprintIPv4(data[14:])
-		case EtherTypeIPv6:
-			return fingerprintIPv6(data[14:])
-		}
-		return 0, false
-	case pcap.LinkTypeRaw:
-		if len(data) == 0 {
-			return 0, false
-		}
-		switch data[0] >> 4 {
-		case 4:
-			return fingerprintIPv4(data)
-		case 6:
-			return fingerprintIPv6(data)
-		}
-		return 0, false
-	}
-	return 0, false
-}
-
-// transportNeed is the minimum transport header length the fast path
-// requires per protocol: the full fixed header, matching what
-// decodeTransport demands, so the fast path never fingerprints a frame
-// whose ports the decoder would reject as truncated.
-func transportNeed(proto IPProtocol) int {
-	switch proto {
-	case IPProtocolUDP:
-		return 8
-	case IPProtocolTCP:
-		return 20
-	}
-	return -1
-}
-
-func fingerprintIPv4(ip []byte) (uint64, bool) {
-	// Fixed 20-byte header only: IHL != 5 (options) goes to the full
-	// decoder so both paths see identical offsets.
-	if len(ip) < 20 || ip[0] != 0x45 {
-		return 0, false
-	}
-	proto := IPProtocol(ip[9])
-	need := transportNeed(proto)
-	if need < 0 || len(ip) < 20+need {
-		return 0, false
-	}
-	sp := binary.BigEndian.Uint16(ip[20:22])
-	dp := binary.BigEndian.Uint16(ip[22:24])
-	return combineFlow(proto, hashEndpoint(ip[12:16], sp), hashEndpoint(ip[16:20], dp)), true
-}
-
-func fingerprintIPv6(ip []byte) (uint64, bool) {
-	// Fixed header with the transport directly behind it; extension
-	// headers (never seen in this dataset, and rejected by the full
-	// decoder too) fall back.
-	if len(ip) < 40 || ip[0]>>4 != 6 {
-		return 0, false
-	}
-	proto := IPProtocol(ip[6])
-	need := transportNeed(proto)
-	if need < 0 || len(ip) < 40+need {
-		return 0, false
-	}
-	sp := binary.BigEndian.Uint16(ip[40:42])
-	dp := binary.BigEndian.Uint16(ip[42:44])
-	return combineFlow(proto, hashEndpoint(ip[8:24], sp), hashEndpoint(ip[24:40], dp)), true
-}
-
-// FingerprintPacket computes the flow fingerprint from a decoded
-// Packet — the slow-path companion of FlowFingerprint and the
-// reference it is differentially tested against. ok is false for
-// packets without a transport layer.
+// FingerprintPacket computes the flow fingerprint of a decoded Packet.
+// ok is false for packets without a transport layer.
 func FingerprintPacket(p *Packet) (uint64, bool) {
 	proto, srcPort, dstPort := p.Transport()
 	if proto == 0 {

@@ -67,6 +67,15 @@ func TestShutdownDeadline(t *testing.T) {
 	if _, err := conn.Write([]byte("GET /metrics HTTP/1.1\r\n")); err != nil {
 		t.Fatal(err)
 	}
+	// The server tracks a connection only once its accept loop has
+	// taken it; until then Shutdown sees nothing active and returns nil.
+	// Accepts are FIFO, so a completed request on a later connection
+	// proves the hung one is tracked.
+	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
