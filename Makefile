@@ -70,37 +70,23 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFeedBatch -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzImpair -fuzztime=$(FUZZTIME) ./internal/natsim
 
-# Per-package coverage table, plus a hard floor on the observability
-# packages: internal/metrics and internal/obs must each stay at or
-# above $(COVER_FLOOR)%.
+# Per-package coverage table, plus a hard floor per listed package:
+# internal/metrics and internal/obs must each stay at or above
+# $(COVER_FLOOR)%, the others at their own COVER_FLOOR_* above.
+COVER_FLOORS = internal/metrics:$(COVER_FLOOR) internal/obs:$(COVER_FLOOR) \
+	internal/natsim:$(COVER_FLOOR_NATSIM) internal/bufpool:$(COVER_FLOOR_BUFPOOL) \
+	internal/ingest:$(COVER_FLOOR_INGEST) internal/qoe:$(COVER_FLOOR_QOE) \
+	internal/alert:$(COVER_FLOOR_ALERT)
+
 cover:
 	$(GO) test -cover ./...
-	@for pkg in internal/metrics internal/obs; do \
+	@for pf in $(COVER_FLOORS); do \
+		pkg=$${pf%%:*}; floor=$${pf##*:}; \
 		$(GO) test -coverprofile=coverage.out ./$$pkg || exit 1; \
-		$(GO) tool cover -func=coverage.out | awk -v floor=$(COVER_FLOOR) -v pkg=$$pkg \
+		$(GO) tool cover -func=coverage.out | awk -v floor=$$floor -v pkg=$$pkg \
 			'/^total:/ { pct = $$3+0; printf "%s coverage: %s (floor %d%%)\n", pkg, $$3, floor; \
 			 if (pct < floor) { print "coverage below floor"; exit 1 } }' || exit 1; \
 	done
-	@$(GO) test -coverprofile=coverage.out ./internal/natsim || exit 1; \
-	$(GO) tool cover -func=coverage.out | awk -v floor=$(COVER_FLOOR_NATSIM) -v pkg=internal/natsim \
-		'/^total:/ { pct = $$3+0; printf "%s coverage: %s (floor %d%%)\n", pkg, $$3, floor; \
-		 if (pct < floor) { print "coverage below floor"; exit 1 } }' || exit 1
-	@$(GO) test -coverprofile=coverage.out ./internal/bufpool || exit 1; \
-	$(GO) tool cover -func=coverage.out | awk -v floor=$(COVER_FLOOR_BUFPOOL) -v pkg=internal/bufpool \
-		'/^total:/ { pct = $$3+0; printf "%s coverage: %s (floor %d%%)\n", pkg, $$3, floor; \
-		 if (pct < floor) { print "coverage below floor"; exit 1 } }' || exit 1
-	@$(GO) test -coverprofile=coverage.out ./internal/ingest || exit 1; \
-	$(GO) tool cover -func=coverage.out | awk -v floor=$(COVER_FLOOR_INGEST) -v pkg=internal/ingest \
-		'/^total:/ { pct = $$3+0; printf "%s coverage: %s (floor %d%%)\n", pkg, $$3, floor; \
-		 if (pct < floor) { print "coverage below floor"; exit 1 } }' || exit 1
-	@$(GO) test -coverprofile=coverage.out ./internal/qoe || exit 1; \
-	$(GO) tool cover -func=coverage.out | awk -v floor=$(COVER_FLOOR_QOE) -v pkg=internal/qoe \
-		'/^total:/ { pct = $$3+0; printf "%s coverage: %s (floor %d%%)\n", pkg, $$3, floor; \
-		 if (pct < floor) { print "coverage below floor"; exit 1 } }' || exit 1
-	@$(GO) test -coverprofile=coverage.out ./internal/alert || exit 1; \
-	$(GO) tool cover -func=coverage.out | awk -v floor=$(COVER_FLOOR_ALERT) -v pkg=internal/alert \
-		'/^total:/ { pct = $$3+0; printf "%s coverage: %s (floor %d%%)\n", pkg, $$3, floor; \
-		 if (pct < floor) { print "coverage below floor"; exit 1 } }' || exit 1
 
 # End-to-end trace smoke: generate a small capture, export its decision
 # trace, and validate the JSONL against the event-schema linter. The

@@ -20,6 +20,7 @@ import (
 
 	rtcc "github.com/rtc-compliance/rtcc"
 	"github.com/rtc-compliance/rtcc/internal/cmdutil"
+	"github.com/rtc-compliance/rtcc/internal/pipeline"
 )
 
 type manifestEntry struct {
@@ -37,27 +38,6 @@ type manifestEntry struct {
 	Duplicated int    `json:"duplicated,omitempty"`
 	Reordered  int    `json:"reordered,omitempty"`
 	Rebound    int    `json:"rebound,omitempty"`
-}
-
-func parseNetwork(s string) (rtcc.Network, error) {
-	switch strings.ToLower(s) {
-	case "wifi-p2p", "wifip2p":
-		return rtcc.WiFiP2P, nil
-	case "wifi-relay", "wifirelay":
-		return rtcc.WiFiRelay, nil
-	case "cellular", "cell":
-		return rtcc.Cellular, nil
-	}
-	return 0, fmt.Errorf("unknown network %q (wifi-p2p, wifi-relay, cellular)", s)
-}
-
-func parseApp(s string) (rtcc.App, error) {
-	for _, a := range rtcc.Apps {
-		if strings.EqualFold(string(a), s) || strings.EqualFold(strings.ReplaceAll(string(a), " ", ""), s) {
-			return a, nil
-		}
-	}
-	return "", fmt.Errorf("unknown app %q", s)
 }
 
 // genFlags holds rtcgen's flag surface (pinned by the golden surface
@@ -216,7 +196,7 @@ func run(c genConfig) error {
 		BitrateVar:   c.bitrateVar,
 	}
 	if appFlag != "" {
-		app, err := parseApp(appFlag)
+		app, err := pipeline.ParseApp(appFlag)
 		if err != nil {
 			return err
 		}
@@ -224,7 +204,7 @@ func run(c genConfig) error {
 	}
 	configs := rtcc.Matrix(opts)
 	if netFlag != "" {
-		network, err := parseNetwork(netFlag)
+		network, err := pipeline.ParseNetwork(netFlag)
 		if err != nil {
 			return err
 		}

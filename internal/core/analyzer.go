@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"net/netip"
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/bufpool"
@@ -15,7 +14,6 @@ import (
 	"github.com/rtc-compliance/rtcc/internal/obs"
 	"github.com/rtc-compliance/rtcc/internal/pcap"
 	"github.com/rtc-compliance/rtcc/internal/report"
-	"github.com/rtc-compliance/rtcc/internal/tlsinspect"
 )
 
 // AnalyzerConfig describes the frames one streaming analysis is fed.
@@ -65,10 +63,6 @@ type streamState struct {
 	// monotone — once true it stays true through Close — so a removed
 	// stream's payloads are dropped immediately and never inspected.
 	removed bool
-	// sni is the first TLS ClientHello SNI seen on a TCP stream,
-	// extracted at feed time so Close never needs TCP payloads.
-	sni   string
-	sniOK bool
 	// insp, session, and partial carry the DPI, compliance, and
 	// findings state of a provisionally-RTC UDP stream across chunked
 	// finalizations (eviction mode). finalizeStream creates them at the
@@ -144,14 +138,6 @@ type Analyzer struct {
 	arrival           uint64
 	firstSeq, lastSeq uint64
 
-	// windowKnown is false only while a zero CallStart defers the
-	// window to Close.
-	windowKnown      bool
-	winStart, winEnd time.Time
-	// preCallPairs accumulates address pairs active before CallStart,
-	// the stage-2 local-IP rule's evidence.
-	preCallPairs map[[2]netip.Addr]bool
-
 	active, peak int
 	closed       bool
 
@@ -180,22 +166,15 @@ func NewAnalyzer(cfg AnalyzerConfig, opts Options) (*Analyzer, error) {
 	if cfg.Pool != nil && opts.KeepPayloads {
 		return nil, errors.New("core: KeepPayloads is incompatible with Pool (the batch result would retain released buffers)")
 	}
-	a := &Analyzer{
-		cfg:          cfg,
-		opts:         opts,
-		table:        flow.NewTable(),
-		states:       make(map[flow.Key]*streamState),
-		engine:       opts.engine(),
-		preCallPairs: make(map[[2]netip.Addr]bool),
-		trace:        obs.New(opts.Tracer, cfg.Label, obs.Sampling{}, opts.Metrics),
-		am:           newAnalyzerMetrics(opts.Metrics, cfg.Label),
-	}
-	a.windowKnown = !cfg.CallStart.IsZero()
-	if a.windowKnown {
-		a.winStart = cfg.CallStart.Add(-filterpipe.DefaultWindowSlack)
-		a.winEnd = cfg.CallEnd.Add(filterpipe.DefaultWindowSlack)
-	}
-	return a, nil
+	return &Analyzer{
+		cfg:    cfg,
+		opts:   opts,
+		table:  flow.NewTable(),
+		states: make(map[flow.Key]*streamState),
+		engine: opts.engine(),
+		trace:  obs.New(opts.Tracer, cfg.Label, obs.Sampling{}, opts.Metrics),
+		am:     newAnalyzerMetrics(opts.Metrics, cfg.Label),
+	}, nil
 }
 
 // Feed advances the pipeline by one captured frame: a one-element
@@ -325,15 +304,6 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 	}
 	a.lastKey, a.lastSt = key, st
 
-	if a.windowKnown && ts.Before(a.cfg.CallStart) {
-		a.preCallPairs[filterpipe.PairKey(key.A.Addr, key.B.Addr)] = true
-	}
-	if proto == layers.IPProtocolTCP && !st.sniOK && len(pkt.Payload) > 0 {
-		if sni, err := tlsinspect.SNI(pkt.Payload); err == nil {
-			st.sni, st.sniOK = sni, true
-		}
-	}
-
 	// Per-feed maintenance, once per stream per FeedBatch call:
 	// recency ordering and the online-filter re-check. Both are
 	// output-neutral at any granularity (filter rules are monotone,
@@ -350,9 +320,14 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 			a.recencyPushBack(st)
 			a.streamLive(+1)
 		}
-		if !st.removed && a.removableNow(st) {
-			st.removed = true
-			a.release(st, false)
+		// The online filter is the final filter's own judge, run on
+		// the evidence so far with the window as configured (unknown
+		// under a zero CallStart); a removal now holds at Close.
+		if !st.removed {
+			if rule, _ := filterpipe.Judge(a.table, st.s, a.cfg.CallStart, a.cfg.CallEnd); rule != "" {
+				st.removed = true
+				a.release(st, false)
+			}
 		}
 	}
 }
@@ -403,40 +378,6 @@ func (a *Analyzer) streamLive(delta int) {
 		a.peak = a.active
 		a.am.activePeak.Set(int64(a.peak))
 	}
-}
-
-// removableNow evaluates the filter rules that can already be decided
-// online. Every rule here is monotone — the evidence (stream span,
-// 3-tuple spans, pre-call pairs, a blocklisted SNI, a well-known port)
-// only accumulates — so a true verdict is guaranteed to hold at Close,
-// which is what makes dropping the stream's payloads safe. The final
-// stage/rule attribution is recomputed by the full filter at Close.
-func (a *Analyzer) removableNow(st *streamState) bool {
-	s := st.s
-	if filterpipe.NonRTCPorts[s.Key.A.Port] || filterpipe.NonRTCPorts[s.Key.B.Port] {
-		return true
-	}
-	if st.sniOK && filterpipe.MatchesBlocklist(st.sni, filterpipe.DefaultSNIBlocklist) {
-		return true
-	}
-	if !a.windowKnown {
-		return false
-	}
-	if s.FirstSeen.Before(a.winStart) || s.LastSeen.After(a.winEnd) {
-		return true
-	}
-	for _, tt := range s.DstTuples {
-		if sp, ok := a.table.ThreeTupleSpan(tt); ok &&
-			(sp.First.Before(a.winStart) || sp.Last.After(a.winEnd)) {
-			return true
-		}
-	}
-	if filterpipe.IsLocalScope(s.Key.A.Addr) || filterpipe.IsLocalScope(s.Key.B.Addr) {
-		if a.preCallPairs[filterpipe.PairKey(s.Key.A.Addr, s.Key.B.Addr)] {
-			return true
-		}
-	}
-	return false
 }
 
 // evictIdle finalizes and evicts streams idle past the configured
@@ -523,9 +464,9 @@ func (a *Analyzer) release(st *streamState, wake bool) {
 
 // Close reconciles the online verdicts against the full two-stage
 // filter and assembles the capture analysis. The filter re-judges every
-// stream from its summaries (plus the feed-time SNI), so provisional
-// admissions that turn out wrong are corrected here — their DPI state
-// is discarded and counted — and the result matches the batch pipeline.
+// stream from its summaries, so provisional admissions that turn out
+// wrong are corrected here — their DPI state is discarded and counted —
+// and the result matches the batch pipeline.
 func (a *Analyzer) Close() (*CaptureAnalysis, error) {
 	if a.closed {
 		return nil, errors.New("core: Close called twice")
@@ -556,14 +497,11 @@ func (a *Analyzer) finalize() (*CaptureAnalysis, error) {
 	cm.packets.Add(uint64(a.frames - a.decodeErrs))
 	cm.workers.Set(int64(a.opts.workers()))
 
-	fres := filterpipe.RunWithSNI(a.table, filterpipe.Config{
+	fres := filterpipe.Run(a.table, filterpipe.Config{
 		CallStart: callStart,
 		CallEnd:   callEnd,
 		Metrics:   a.opts.Metrics,
 		Trace:     a.trace,
-	}, func(s *flow.Stream) (string, bool) {
-		st := a.states[s.Key]
-		return st.sni, st.sniOK
 	})
 
 	ca := &CaptureAnalysis{

@@ -29,7 +29,8 @@ import (
 
 // Options configures an analysis run.
 type Options struct {
-	// MaxOffset is the DPI's k parameter; zero selects the paper's 200.
+	// MaxOffset is the DPI's k parameter; zero selects the paper's
+	// dpi.DefaultMaxOffset.
 	MaxOffset int
 	// SkipFindings disables the behavioural-findings detectors.
 	SkipFindings bool
@@ -95,13 +96,11 @@ type Options struct {
 }
 
 func (o Options) engine() *dpi.Engine {
-	e := dpi.NewEngine()
-	if o.MaxOffset > 0 {
-		e.MaxOffset = o.MaxOffset
+	k := o.MaxOffset
+	if k <= 0 {
+		k = dpi.DefaultMaxOffset
 	}
-	e.Metrics = o.Metrics
-	e.Registry = o.Registry
-	return e
+	return &dpi.Engine{MaxOffset: k, Metrics: o.Metrics, Registry: o.Registry}
 }
 
 // CaptureInput is one capture to analyze. It is an alias of

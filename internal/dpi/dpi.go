@@ -127,7 +127,8 @@ func NewStreamContext() *StreamContext {
 // Engine runs Algorithm 1.
 type Engine struct {
 	// MaxOffset is k, the deepest byte offset candidate extraction will
-	// shift to. The paper found 200 sufficient (§4.1.1).
+	// shift to; zero or negative selects DefaultMaxOffset, which the
+	// paper found sufficient (§4.1.1).
 	MaxOffset int
 	// Adaptive enables the per-stream adaptive offset bound the paper
 	// sketches as future work (§4.1.1): once a stream has shown where
@@ -147,10 +148,22 @@ type Engine struct {
 	Registry *proto.Registry
 }
 
-// NewEngine returns an engine with the paper's default k=200 and every
+// DefaultMaxOffset is the paper's k (§4.1.1): the deepest offset
+// candidate extraction shifts to unless configured otherwise.
+const DefaultMaxOffset = 200
+
+// NewEngine returns an engine with the paper's default k and every
 // protocol of the default registry.
 func NewEngine() *Engine {
-	return &Engine{MaxOffset: 200}
+	return &Engine{MaxOffset: DefaultMaxOffset}
+}
+
+// maxOffset returns k: MaxOffset, or DefaultMaxOffset when unset.
+func (e *Engine) maxOffset() int {
+	if e.MaxOffset <= 0 {
+		return DefaultMaxOffset
+	}
+	return e.MaxOffset
 }
 
 func (e *Engine) registry() *proto.Registry {
@@ -176,10 +189,7 @@ func (e *Engine) Inspect(payload []byte, ctx *StreamContext) Result {
 		ctx.msgArena = ctx.msgArena[:0]
 	}
 	start := len(ctx.msgArena)
-	limit := e.MaxOffset
-	if limit <= 0 {
-		limit = 200
-	}
+	limit := e.maxOffset()
 	// Adaptive bound: after enough messages, no deeper proprietary
 	// header is expected than twice the deepest seen (floor 48 bytes).
 	if e.Adaptive && ctx.msgCount >= 16 {

@@ -30,7 +30,7 @@ import (
 // within the same stream". The two-pass design implements that
 // literally:
 //
-//   - Pass 1 runs every registered Pass1 prober at every
+//   - Pass 1 runs every registered prober that has a Probe at every
 //     not-yet-consumed offset of every datagram: strong-signature
 //     probers consume their span, weak-signature probers (the RTP
 //     driver) tally per-SSRC validation evidence into the scan state;
@@ -84,10 +84,7 @@ func (e *Engine) NewStreamInspector() *StreamInspector {
 
 // scanOne advances pass 1 over one payload.
 func (si *StreamInspector) scanOne(payload []byte) {
-	limit := si.e.MaxOffset
-	if limit <= 0 {
-		limit = 200
-	}
+	limit := si.e.maxOffset()
 	i := 0
 	for i < len(payload) && i <= limit {
 		// Strong-signature probers consume their span so their

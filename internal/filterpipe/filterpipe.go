@@ -19,7 +19,6 @@ import (
 	"github.com/rtc-compliance/rtcc/internal/layers"
 	"github.com/rtc-compliance/rtcc/internal/metrics"
 	"github.com/rtc-compliance/rtcc/internal/obs"
-	"github.com/rtc-compliance/rtcc/internal/tlsinspect"
 )
 
 // DefaultWindowSlack is the call-window expansion of §3.2.1 ("2 seconds
@@ -38,10 +37,10 @@ var DefaultSNIBlocklist = []string{
 	"itunes.apple.com",
 }
 
-// NonRTCPorts is the port-based exclusion set, following the paper's
+// nonRTCPorts is the port-based exclusion set, following the paper's
 // examples (DNS 53, DHCP 67/547, SSDP 1900) extended with the standard
 // local-service ports from the IANA registry.
-var NonRTCPorts = map[uint16]bool{
+var nonRTCPorts = map[uint16]bool{
 	53:   true, // DNS
 	67:   true, // DHCP
 	68:   true, // DHCP client
@@ -78,7 +77,9 @@ type Removal struct {
 // Config parameterizes one filtering run.
 type Config struct {
 	// CallStart and CallEnd delimit the annotated call window; the
-	// filter expands it by DefaultWindowSlack on both sides.
+	// filter expands it by DefaultWindowSlack on both sides. A zero
+	// CallStart leaves the window unknown, and then only the SNI and
+	// port rules run (see Judge).
 	CallStart, CallEnd time.Time
 	// Metrics, when non-nil, receives per-stage accounting: input
 	// packets/streams, removals labelled by stage and rule, and RTC
@@ -108,59 +109,99 @@ type Result struct {
 	RTCUDP, RTCTCP       flow.Counts
 }
 
-// Run applies both filter stages to the streams of table.
+// Run applies both filter stages to the streams of table: every
+// stream gets Judge's verdict, and only here is it formatted into a
+// Removal.
 func Run(table *flow.Table, cfg Config) *Result {
-	return RunWithSNI(table, cfg, streamSNI)
-}
-
-// RunWithSNI is Run with the TLS SNI extraction pluggable. The batch
-// path scans each TCP stream's buffered segments (streamSNI); the
-// streaming analyzer extracts the SNI incrementally at feed time —
-// same packet order, so the same first ClientHello wins — and supplies
-// a lookup here so Close can reuse this exact assembly code and stay
-// byte-identical to the batch result without retaining TCP payloads.
-func RunWithSNI(table *flow.Table, cfg Config, sni func(*flow.Stream) (string, bool)) *Result {
 	res := &Result{Removed: make(map[flow.Key]Removal)}
-	winStart := cfg.CallStart.Add(-DefaultWindowSlack)
-	winEnd := cfg.CallEnd.Add(DefaultWindowSlack)
-
 	streams := table.Streams()
 	tally(&res.RawUDP, &res.RawTCP, streams)
 
-	// Stage 1: timespan alignment.
-	var survivors []*flow.Stream
-	var stage1 []*flow.Stream
+	var stage1, stage2 []*flow.Stream
 	for _, s := range streams {
-		first, last := s.Span()
-		if first.Before(winStart) || last.After(winEnd) {
-			res.Removed[s.Key] = Removal{Stage: 1, Rule: RuleTimespan,
-				Detail: "stream span not enclosed in the expanded call window"}
-			stage1 = append(stage1, s)
+		rule, tt := Judge(table, s, cfg.CallStart, cfg.CallEnd)
+		switch rule {
+		case "":
+			res.RTC = append(res.RTC, s)
 			continue
+		case RuleTimespan:
+			stage1 = append(stage1, s)
+		default:
+			stage2 = append(stage2, s)
 		}
-		survivors = append(survivors, s)
+		res.Removed[s.Key] = removal(rule, s, tt)
 	}
 	tally(&res.Stage1UDP, &res.Stage1TCP, stage1)
-
-	// Pre-compute stage-2 inputs.
-	outsideTuples := outsideWindowTuples(table, winStart, winEnd)
-	preCallPairs := preCallAddrPairs(streams, cfg.CallStart)
-
-	var stage2 []*flow.Stream
-	for _, s := range survivors {
-		if removal, removed := stage2Check(s, outsideTuples, preCallPairs, sni); removed {
-			res.Removed[s.Key] = removal
-			stage2 = append(stage2, s)
-			continue
-		}
-		res.RTC = append(res.RTC, s)
-	}
 	tally(&res.Stage2UDP, &res.Stage2TCP, stage2)
 	tally(&res.RTCUDP, &res.RTCTCP, res.RTC)
 	res.RemovedStreams = append(stage1, stage2...)
 	record(cfg.Metrics, res)
 	emitTrace(cfg.Trace, res)
 	return res
+}
+
+// Judge returns the first rule that removes s, a stream of table, in
+// the paper's order — stage-1 timespan, then the stage-2 heuristics
+// 3-tuple timing, TLS SNI, local IP, and port — or "" when s survives
+// both stages. For the 3-tuple rule it also returns the offending
+// destination tuple, the first of s.DstTuples active outside the
+// window. A zero callStart means the call window is not known yet:
+// only the window-independent rules (SNI, port) run then.
+//
+// Judge reads only summaries that never shrink as packets are added —
+// the stream's span, SNI, and ports, and the table's 3-tuple spans and
+// address-pair first-seen times — and every rule fires on a threshold
+// that evidence can cross but never uncross. Its verdict is therefore
+// monotone: a stream removed on partial evidence is removed on the
+// full evidence too (possibly by an earlier rule). That is what lets
+// the streaming analyzer call Judge online, mid-capture, and drop a
+// removed stream's payloads at once. It does not allocate.
+func Judge(table *flow.Table, s *flow.Stream, callStart, callEnd time.Time) (Rule, flow.ThreeTuple) {
+	known := !callStart.IsZero()
+	if known {
+		winStart := callStart.Add(-DefaultWindowSlack)
+		winEnd := callEnd.Add(DefaultWindowSlack)
+		if s.FirstSeen.Before(winStart) || s.LastSeen.After(winEnd) {
+			return RuleTimespan, flow.ThreeTuple{}
+		}
+		// Persistent services rebind source ports but keep their
+		// destination 3-tuple, so one seen outside the window marks
+		// every stream that uses it.
+		for _, tt := range s.DstTuples {
+			if sp, ok := table.ThreeTupleSpan(tt); ok && (sp.First.Before(winStart) || sp.Last.After(winEnd)) {
+				return RuleThreeTuple, tt
+			}
+		}
+	}
+	if s.SNI != "" && MatchesBlocklist(s.SNI, DefaultSNIBlocklist) {
+		return RuleSNI, flow.ThreeTuple{}
+	}
+	// Link-local/unique-local/private endpoints whose address pair was
+	// also active pre-call: LAN management chatter, not P2P media.
+	if known && (isLocalScope(s.Key.A.Addr) || isLocalScope(s.Key.B.Addr)) {
+		if first, ok := table.PairFirstSeen(s.Key); ok && first.Before(callStart) {
+			return RuleLocalIP, flow.ThreeTuple{}
+		}
+	}
+	if nonRTCPorts[s.Key.A.Port] || nonRTCPorts[s.Key.B.Port] {
+		return RulePort, flow.ThreeTuple{}
+	}
+	return "", flow.ThreeTuple{}
+}
+
+// removal formats a Judge verdict for the Result.
+func removal(rule Rule, s *flow.Stream, tt flow.ThreeTuple) Removal {
+	switch rule {
+	case RuleTimespan:
+		return Removal{Stage: 1, Rule: rule, Detail: "stream span not enclosed in the expanded call window"}
+	case RuleThreeTuple:
+		return Removal{Stage: 2, Rule: rule, Detail: "destination 3-tuple " + tt.String() + " active outside the call window"}
+	case RuleSNI:
+		return Removal{Stage: 2, Rule: rule, Detail: "SNI " + s.SNI + " is blocklisted"}
+	case RuleLocalIP:
+		return Removal{Stage: 2, Rule: rule, Detail: "local address pair also active pre-call"}
+	}
+	return Removal{Stage: 2, Rule: rule, Detail: "well-known non-RTC port"}
 }
 
 // emitTrace emits the per-stream filter verdicts of a completed run:
@@ -239,94 +280,6 @@ func tally(udp, tcp *flow.Counts, streams []*flow.Stream) {
 	*tcp = flow.Count(t)
 }
 
-// outsideWindowTuples collects destination 3-tuples observed outside the
-// expanded call window (§3.2.2: persistent services rebind source ports
-// but keep their destination 3-tuple).
-func outsideWindowTuples(table *flow.Table, winStart, winEnd time.Time) map[flow.ThreeTuple]bool {
-	out := make(map[flow.ThreeTuple]bool)
-	for _, tt := range table.ThreeTuples() {
-		span, ok := table.ThreeTupleSpan(tt)
-		if !ok {
-			continue
-		}
-		if span.First.Before(winStart) || span.Last.After(winEnd) {
-			out[tt] = true
-		}
-	}
-	return out
-}
-
-// preCallAddrPairs collects unordered address pairs seen before the call
-// started, used by the local-IP rule to distinguish LAN management
-// chatter from legitimate P2P media.
-func preCallAddrPairs(streams []*flow.Stream, callStart time.Time) map[[2]netip.Addr]bool {
-	out := make(map[[2]netip.Addr]bool)
-	for _, s := range streams {
-		if !s.FirstSeen.Before(callStart) {
-			continue
-		}
-		out[PairKey(s.Key.A.Addr, s.Key.B.Addr)] = true
-	}
-	return out
-}
-
-// PairKey returns the canonical (sorted) form of an unordered address
-// pair, the key of the pre-call pair set.
-func PairKey(a, b netip.Addr) [2]netip.Addr {
-	if b.Compare(a) < 0 {
-		a, b = b, a
-	}
-	return [2]netip.Addr{a, b}
-}
-
-// stage2Check applies the four intra-call heuristics in the paper's
-// order.
-func stage2Check(s *flow.Stream, outsideTuples map[flow.ThreeTuple]bool, preCallPairs map[[2]netip.Addr]bool, sniOf func(*flow.Stream) (string, bool)) (Removal, bool) {
-	// 1. 3-tuple timing: any packet destination matching a 3-tuple seen
-	// outside the window. DstTuples is the distinct destinations in
-	// first-occurrence order, so the first match here is the same tuple
-	// the first matching packet would have reported.
-	for _, tt := range s.DstTuples {
-		if outsideTuples[tt] {
-			return Removal{Stage: 2, Rule: RuleThreeTuple,
-				Detail: "destination 3-tuple " + tt.String() + " active outside the call window"}, true
-		}
-	}
-	// 2. TLS SNI blocklist (TCP streams only).
-	if s.Key.Proto == layers.IPProtocolTCP {
-		if sni, ok := sniOf(s); ok && MatchesBlocklist(sni, DefaultSNIBlocklist) {
-			return Removal{Stage: 2, Rule: RuleSNI, Detail: "SNI " + sni + " is blocklisted"}, true
-		}
-	}
-	// 3. Local IP: link-local/unique-local/private endpoints whose pair
-	// also appeared pre-call.
-	if IsLocalScope(s.Key.A.Addr) || IsLocalScope(s.Key.B.Addr) {
-		if preCallPairs[PairKey(s.Key.A.Addr, s.Key.B.Addr)] {
-			return Removal{Stage: 2, Rule: RuleLocalIP,
-				Detail: "local address pair also active pre-call"}, true
-		}
-	}
-	// 4. Port-based exclusion.
-	if NonRTCPorts[s.Key.A.Port] || NonRTCPorts[s.Key.B.Port] {
-		return Removal{Stage: 2, Rule: RulePort, Detail: "well-known non-RTC port"}, true
-	}
-	return Removal{}, false
-}
-
-// streamSNI extracts the SNI from the first ClientHello found in the
-// stream's segments.
-func streamSNI(s *flow.Stream) (string, bool) {
-	for _, p := range s.Packets {
-		if len(p.Payload) == 0 {
-			continue
-		}
-		if sni, err := tlsinspect.SNI(p.Payload); err == nil {
-			return sni, true
-		}
-	}
-	return "", false
-}
-
 // MatchesBlocklist reports whether sni matches a blocklist entry
 // exactly or as a parent domain.
 func MatchesBlocklist(sni string, blocklist []string) bool {
@@ -338,10 +291,10 @@ func MatchesBlocklist(sni string, blocklist []string) bool {
 	return false
 }
 
-// IsLocalScope reports whether an address is IPv6 link-local
+// isLocalScope reports whether an address is IPv6 link-local
 // (fe80::/10), unique-local (fc00::/7), IPv4 private, or multicast —
 // the scopes §3.2.2's local-IP rule targets.
-func IsLocalScope(a netip.Addr) bool {
+func isLocalScope(a netip.Addr) bool {
 	return a.IsLinkLocalUnicast() || a.IsLinkLocalMulticast() || a.IsMulticast() ||
 		a.IsPrivate()
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/rtc-compliance/rtcc/internal/flow"
 	"github.com/rtc-compliance/rtcc/internal/layers"
 	"github.com/rtc-compliance/rtcc/internal/pcap"
+	"github.com/rtc-compliance/rtcc/internal/tlsinspect"
 	"github.com/rtc-compliance/rtcc/internal/trace"
 )
 
@@ -217,5 +218,74 @@ func TestIdempotent(t *testing.T) {
 		for k, rm := range res2.Removed {
 			t.Errorf("second pass removed %v: %+v", k, rm)
 		}
+	}
+}
+
+// TestJudgeRules drives every rule on a hand-built capture, once with
+// the call window known and once with it unknown (zero CallStart):
+// unknown, only the window-independent rules — SNI and port — fire.
+func TestJudgeRules(t *testing.T) {
+	start, end := t0.Add(10*time.Second), t0.Add(20*time.Second)
+	in := start.Add(time.Second)
+	public := netip.MustParseAddr("198.51.100.1")
+	lan, router := netip.MustParseAddr("192.168.1.10"), netip.MustParseAddr("192.168.1.1")
+	server := netip.MustParseAddr("203.0.113.9")
+	table := flow.NewTable()
+	add := func(ts time.Time, frame []byte) *flow.Stream {
+		pkt, err := layers.Decode(pcap.LinkTypeRaw, frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, _ := table.AddPacket(ts, pkt, true)
+		return s
+	}
+	udp := func(ts time.Time, src, dst netip.Addr, sport, dport uint16) *flow.Stream {
+		return add(ts, layers.EncodeUDPv4(src, dst, sport, dport, []byte{1, 2, 3, 4}))
+	}
+
+	timespan := udp(t0, public, server, 40000, 50000)
+	udp(in, public, server, 40000, 50000)
+	udp(t0, public, server, 40001, 5223) // the pre-call APNS connection
+	threeTuple := udp(in, public, server, 40002, 5223)
+	hello := tlsinspect.BuildClientHello("sub."+DefaultSNIBlocklist[0], [32]byte{})
+	sni := add(in, layers.EncodeTCPv4(public, server, layers.TCP{SrcPort: 40003, DstPort: 443, Flags: layers.TCPAck}, hello))
+	udp(t0, lan, router, 40004, 9999) // the pair's pre-call chatter
+	localIP := udp(in, lan, router, 40005, 9998)
+	port := udp(in, public, server, 40006, 53)
+	rtc := udp(in, public, server, 40007, 3478)
+
+	cases := []struct {
+		s              *flow.Stream
+		known, unknown Rule
+	}{
+		{timespan, RuleTimespan, ""},
+		{threeTuple, RuleThreeTuple, ""},
+		{sni, RuleSNI, RuleSNI},
+		{localIP, RuleLocalIP, ""},
+		{port, RulePort, RulePort},
+		{rtc, "", ""},
+	}
+	for _, c := range cases {
+		if got, _ := Judge(table, c.s, start, end); got != c.known {
+			t.Errorf("%v, window known: rule %q, want %q", c.s.Key, got, c.known)
+		}
+		if got, _ := Judge(table, c.s, time.Time{}, time.Time{}); got != c.unknown {
+			t.Errorf("%v, window unknown: rule %q, want %q", c.s.Key, got, c.unknown)
+		}
+	}
+	if _, tt := Judge(table, threeTuple, start, end); tt.Port != 5223 {
+		t.Errorf("3-tuple verdict names %v, want the :5223 destination", tt)
+	}
+
+	// Run attributes the same verdicts and formats their details.
+	res := Run(table, Config{CallStart: start, CallEnd: end})
+	for _, c := range cases {
+		rm, removed := res.Removed[c.s.Key]
+		if removed != (c.known != "") || rm.Rule != c.known {
+			t.Errorf("%v: Run removal %+v, want rule %q", c.s.Key, rm, c.known)
+		}
+	}
+	if d := res.Removed[sni.Key].Detail; d != "SNI sub."+DefaultSNIBlocklist[0]+" is blocklisted" {
+		t.Errorf("SNI detail = %q", d)
 	}
 }

@@ -4,17 +4,19 @@
 // grouped by their 5-tuple (source IP, source port, destination IP,
 // destination port, transport protocol), with the two directions of a
 // conversation belonging to one stream, as in Wireshark's stream
-// numbering. The package also maintains the destination-side 3-tuple
-// index that the stage-2 "3-tuple timing filter" needs.
+// numbering. The package also maintains the cross-stream evidence the
+// stage-2 filter reads: the destination-side 3-tuple index of the
+// "3-tuple timing filter" and the per-address-pair first-seen times of
+// the local-IP rule.
 package flow
 
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/layers"
+	"github.com/rtc-compliance/rtcc/internal/tlsinspect"
 )
 
 // Endpoint is one side of a transport conversation.
@@ -77,11 +79,13 @@ type Packet struct {
 
 // Stream is a bidirectional transport conversation.
 //
-// The summary fields (FirstSeen, LastSeen, Bytes, NPackets, DstTuples)
-// are maintained on every add, independently of whether the per-packet
-// records are retained: the streaming analyzer drops Packets for
-// streams it no longer needs payloads from, and the filter judges the
-// stream from the summaries alone.
+// The summary fields (FirstSeen, LastSeen, Bytes, NPackets, DstTuples,
+// SNI) are maintained on every add, independently of whether the
+// per-packet records are retained, and so is the Table's evidence
+// across streams (3-tuple spans, address-pair first-seen times): the
+// streaming analyzer drops Packets for streams it no longer needs
+// payloads from, and the filter judges the stream from the summaries
+// alone.
 type Stream struct {
 	Key       Key
 	Packets   []Packet
@@ -94,6 +98,11 @@ type Stream struct {
 	// DstTuples lists the distinct destination 3-tuples of the stream's
 	// packets, in first-occurrence order.
 	DstTuples []ThreeTuple
+	// SNI is the server name of the stream's first TLS ClientHello, in
+	// arrival order ("" when none parsed). Only TCP streams are
+	// searched; sniFound ends the search once one parses.
+	SNI      string
+	sniFound bool
 
 	// ttMemo/spMemo memoize the destination 3-tuple and its table span
 	// per direction: a stream's destination tuple is constant within a
@@ -138,6 +147,10 @@ type Table struct {
 	order   []Key
 	// threeTuples tracks when each destination 3-tuple was observed.
 	threeTuples map[ThreeTuple]*Span
+	// pairFirst holds, per unordered address pair (a canonical key's
+	// A and B addresses, already sorted), the earliest FirstSeen of any
+	// stream between the two addresses.
+	pairFirst map[[2]netip.Addr]time.Time
 }
 
 // NewTable returns an empty stream table.
@@ -145,6 +158,7 @@ func NewTable() *Table {
 	return &Table{
 		streams:     make(map[Key]*Stream),
 		threeTuples: make(map[ThreeTuple]*Span),
+		pairFirst:   make(map[[2]netip.Addr]time.Time),
 	}
 }
 
@@ -174,6 +188,7 @@ func (t *Table) AddPacket(ts time.Time, pkt *layers.Packet, keep bool) (*Stream,
 		s = &Stream{Key: key, FirstSeen: ts, LastSeen: ts}
 		t.streams[key] = s
 		t.order = append(t.order, key)
+		t.pairSeen(pairOf(key), ts)
 	}
 	dir := DirAToB
 	if key.A != src {
@@ -205,12 +220,18 @@ func (t *Table) AddToStream(s *Stream, ts time.Time, dir Direction, src, dst End
 	}
 	if ts.Before(s.FirstSeen) {
 		s.FirstSeen = ts
+		t.pairSeen(pairOf(s.Key), ts)
 	}
 	if ts.After(s.LastSeen) {
 		s.LastSeen = ts
 	}
 	s.Bytes += len(payload)
 	s.NPackets++
+	if s.Key.Proto == layers.IPProtocolTCP && !s.sniFound && len(payload) > 0 {
+		if sni, err := tlsinspect.SNI(payload); err == nil {
+			s.SNI, s.sniFound = sni, true
+		}
+	}
 
 	tt := ThreeTuple{Proto: s.Key.Proto, Addr: dst.Addr, Port: dst.Port}
 	if sp := s.spMemo[dir]; sp != nil && s.ttMemo[dir] == tt {
@@ -237,11 +258,13 @@ func (t *Table) AddToStream(s *Stream, ts time.Time, dir Direction, src, dst End
 	s.spMemo[dir] = sp
 }
 
-// AbsorbSpans widens this table's destination-3-tuple spans with every
-// span recorded in src, creating entries as needed. It is the first
-// half of a cross-table merge: spans union commutatively (Extend is a
-// min/max fold), so absorbing shard tables in any order yields exactly
-// the span a single table fed every packet would hold.
+// AbsorbSpans widens this table's cross-stream evidence with src's:
+// every destination-3-tuple span and every address-pair first-seen
+// time, creating entries as needed. It is the first half of a
+// cross-table merge: both union commutatively (Extend is a min/max
+// fold, first-seen a min), so absorbing shard tables in any order
+// yields exactly the evidence a single table fed every packet would
+// hold.
 func (t *Table) AbsorbSpans(src *Table) {
 	for tt, sp := range src.threeTuples {
 		dst, ok := t.threeTuples[tt]
@@ -252,6 +275,31 @@ func (t *Table) AbsorbSpans(src *Table) {
 		dst.Extend(sp.First)
 		dst.Extend(sp.Last)
 	}
+	for p, ts := range src.pairFirst {
+		t.pairSeen(p, ts)
+	}
+}
+
+// pairOf returns the unordered address pair of a canonical key: key
+// canonicalization orders endpoints by address first, so A.Addr never
+// sorts after B.Addr.
+func pairOf(k Key) [2]netip.Addr { return [2]netip.Addr{k.A.Addr, k.B.Addr} }
+
+// pairSeen lowers the pair's earliest-seen time to ts.
+func (t *Table) pairSeen(p [2]netip.Addr, ts time.Time) {
+	if first, ok := t.pairFirst[p]; !ok || ts.Before(first) {
+		t.pairFirst[p] = ts
+	}
+}
+
+// PairFirstSeen returns the earliest FirstSeen of any stream between
+// the two addresses of key (a canonical key of this table's streams),
+// whatever their ports and transport, and false if no such stream was
+// added. Since FirstSeen is a minimum, "the pair was active before T"
+// is PairFirstSeen(key) < T.
+func (t *Table) PairFirstSeen(key Key) (time.Time, bool) {
+	first, ok := t.pairFirst[pairOf(key)]
+	return first, ok
 }
 
 // AbsorbStream adopts a stream built by another table, appending it to
@@ -316,26 +364,6 @@ func (t *Table) ThreeTupleSpan(tt ThreeTuple) (Span, bool) {
 		return Span{}, false
 	}
 	return *sp, true
-}
-
-// ThreeTuples returns all observed destination 3-tuples in a stable
-// order.
-func (t *Table) ThreeTuples() []ThreeTuple {
-	out := make([]ThreeTuple, 0, len(t.threeTuples))
-	for tt := range t.threeTuples {
-		out = append(out, tt)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Proto != b.Proto {
-			return a.Proto < b.Proto
-		}
-		if c := a.Addr.Compare(b.Addr); c != 0 {
-			return c < 0
-		}
-		return a.Port < b.Port
-	})
-	return out
 }
 
 // Counts summarizes a set of streams for reporting.

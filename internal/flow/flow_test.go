@@ -8,6 +8,7 @@ import (
 
 	"github.com/rtc-compliance/rtcc/internal/layers"
 	"github.com/rtc-compliance/rtcc/internal/pcap"
+	"github.com/rtc-compliance/rtcc/internal/tlsinspect"
 )
 
 var (
@@ -111,9 +112,9 @@ func TestThreeTupleIndex(t *testing.T) {
 	if _, ok := tbl.ThreeTupleSpan(ThreeTuple{Proto: layers.IPProtocolUDP, Addr: hostC, Port: 443}); ok {
 		t.Error("unseen 3-tuple reported")
 	}
-	tts := tbl.ThreeTuples()
-	if len(tts) != 1 { // only B:443; A is never a destination here
-		t.Errorf("3-tuples = %v", tts)
+	// Only B:443 is indexed; A is never a destination here.
+	if _, ok := tbl.ThreeTupleSpan(ThreeTuple{Proto: layers.IPProtocolUDP, Addr: hostA, Port: 5000}); ok {
+		t.Error("source-side 3-tuple indexed")
 	}
 }
 
@@ -227,5 +228,56 @@ func TestEndpointAndKeyStrings(t *testing.T) {
 	tt := ThreeTuple{Proto: layers.IPProtocolUDP, Addr: hostB, Port: 53}
 	if tt.String() != "UDP -> 203.0.113.7:53" {
 		t.Errorf("3-tuple = %s", tt)
+	}
+}
+
+// TestSNISummary pins the SNI summary: the first ClientHello that
+// parses wins, later ones are ignored, and UDP streams are not searched.
+func TestSNISummary(t *testing.T) {
+	tbl := NewTable()
+	seg := layers.TCP{SrcPort: 40000, DstPort: 443, Flags: layers.TCPAck}
+	hello := func(name string) []byte { return tlsinspect.BuildClientHello(name, [32]byte{}) }
+	tbl.Add(t0, decode(t, layers.EncodeTCPv4(hostA, hostB, seg, []byte("not tls"))))
+	tbl.Add(t0, decode(t, layers.EncodeTCPv4(hostA, hostB, seg, hello("first.example"))))
+	tbl.Add(t0, decode(t, layers.EncodeTCPv4(hostA, hostB, seg, hello("second.example"))))
+	tbl.Add(t0, decode(t, layers.EncodeUDPv4(hostA, hostB, 40000, 443, hello("udp.example"))))
+	for _, s := range tbl.Streams() {
+		want := "first.example"
+		if s.Key.Proto == layers.IPProtocolUDP {
+			want = ""
+		}
+		if s.SNI != want {
+			t.Errorf("%v: SNI = %q, want %q", s.Key, s.SNI, want)
+		}
+	}
+}
+
+// TestPairFirstSeen pins the address-pair evidence: the earliest
+// FirstSeen of any stream between two addresses, in either direction
+// and over any ports, lowered by out-of-order packets and unioned by
+// AbsorbSpans.
+func TestPairFirstSeen(t *testing.T) {
+	tbl := NewTable()
+	tbl.Add(t0.Add(5*time.Second), decode(t, layers.EncodeUDPv4(hostA, hostB, 1, 2, nil)))
+	tbl.Add(t0.Add(3*time.Second), decode(t, layers.EncodeUDPv4(hostB, hostA, 7, 8, nil)))
+	tbl.Add(t0.Add(time.Second), decode(t, layers.EncodeUDPv4(hostB, hostA, 2, 1, nil))) // reordered
+	key := KeyFor(layers.IPProtocolUDP, Endpoint{Addr: hostA, Port: 9}, Endpoint{Addr: hostB, Port: 9})
+	if first, ok := tbl.PairFirstSeen(key); !ok || !first.Equal(t0.Add(time.Second)) {
+		t.Errorf("PairFirstSeen = %v, %v; want %v", first, ok, t0.Add(time.Second))
+	}
+	other := KeyFor(layers.IPProtocolUDP, Endpoint{Addr: hostA, Port: 1}, Endpoint{Addr: hostC, Port: 2})
+	if _, ok := tbl.PairFirstSeen(other); ok {
+		t.Error("unseen pair reported")
+	}
+
+	shard := NewTable()
+	shard.Add(t0, decode(t, layers.EncodeTCPv4(hostA, hostB, layers.TCP{SrcPort: 3, DstPort: 4}, nil)))
+	shard.Add(t0, decode(t, layers.EncodeUDPv4(hostA, hostC, 1, 2, nil)))
+	tbl.AbsorbSpans(shard)
+	if first, _ := tbl.PairFirstSeen(key); !first.Equal(t0) {
+		t.Errorf("after absorb PairFirstSeen = %v, want %v", first, t0)
+	}
+	if first, ok := tbl.PairFirstSeen(other); !ok || !first.Equal(t0) {
+		t.Errorf("absorbed pair = %v, %v; want %v", first, ok, t0)
 	}
 }

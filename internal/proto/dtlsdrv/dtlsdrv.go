@@ -39,7 +39,6 @@ func (handler) Meta() proto.Meta {
 func (handler) Probers() []proto.Prober {
 	return []proto.Prober{{
 		Precedence: Precedence,
-		Pass1:      true,
 		// RFC 7983 allocates 20-63 to DTLS; assigned content types all
 		// fall inside it.
 		First:    func(b byte) bool { return b >= 20 && b <= 63 },

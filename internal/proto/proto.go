@@ -133,9 +133,6 @@ type Prober struct {
 	// cookie, ChannelData framing, the RTCP type range) before weak
 	// ones (RTP's version bits).
 	Precedence int
-	// Pass1 includes the prober in the stream-level pass 1: Probe is
-	// called at each not-yet-consumed payload offset.
-	Pass1 bool
 	// First is the one-byte wire-format fingerprint: it reports
 	// whether a candidate starting with byte b could possibly match
 	// (RFC 7983-style demultiplexing). It must be a superset of the
@@ -144,11 +141,13 @@ type Prober struct {
 	// the scan loops use. Nil means the prober is tried at every
 	// offset.
 	First func(b byte) bool
-	// Probe advances pass 1 at one offset. A prober with a strong
+	// Probe advances the stream-level pass 1 at one offset; a non-nil
+	// Probe is what includes the prober in pass 1, which calls it at
+	// each not-yet-consumed payload offset. A prober with a strong
 	// signature validates structurally against sc.Scratch and returns
 	// the candidate with Length set so the engine skips the span; a
 	// weak-signature prober (RTP) tallies validation evidence into sc
-	// and returns false. Nil when Pass1 is false.
+	// and returns false.
 	Probe func(c Candidate, sc *ScanState) (Candidate, bool)
 	// Validate runs the fingerprint plus stream-state validation at one
 	// offset during pass 2 and reports whether a message starts there.

@@ -86,7 +86,7 @@ func (r *Registry) rebuildTables() {
 				continue
 			}
 			r.table[b] = append(r.table[b], p)
-			if p.Pass1 && p.Probe != nil {
+			if p.Probe != nil {
 				r.pass1Table[b] = append(r.pass1Table[b], p)
 			}
 		}

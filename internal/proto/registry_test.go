@@ -115,7 +115,6 @@ func TestFirstByteTables(t *testing.T) {
 		meta: Meta{ID: STUN, Name: "gated"},
 		probers: []Prober{{
 			Precedence: 10,
-			Pass1:      true,
 			First:      func(b byte) bool { return b < 0x40 },
 			Probe:      ConsumeProbe(noopValidate),
 			Validate:   noopValidate,
@@ -136,7 +135,7 @@ func TestFirstByteTables(t *testing.T) {
 	if got := r.ProbersFor(0x80); len(got) != 1 || got[0].ID != RTP {
 		t.Errorf("ProbersFor(0x80) = %v, want just the ungated prober", got)
 	}
-	// Pass-1 tables only list probers with Pass1 set and a Probe.
+	// Pass-1 tables only list probers with a Probe.
 	if got := len(r.Pass1ProbersFor(0x00)); got != 1 {
 		t.Errorf("Pass1ProbersFor(0x00) = %d probers, want 1", got)
 	}

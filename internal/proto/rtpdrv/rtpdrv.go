@@ -46,7 +46,6 @@ func (handler) Meta() proto.Meta {
 func (handler) Probers() []proto.Prober {
 	return []proto.Prober{{
 		Precedence: Precedence,
-		Pass1:      true,
 		// Version bits 2 in the top two bit positions.
 		First:    func(b byte) bool { return b>>6 == 2 },
 		Probe:    tallyProbe,

@@ -44,7 +44,6 @@ func (stunHandler) Probers() []proto.Prober {
 	return []proto.Prober{
 		{
 			Precedence: PrecedenceCookie,
-			Pass1:      true,
 			First:      stunFirst,
 			Probe:      proto.ConsumeProbe(MatchCookie),
 			Validate:   MatchCookie,
@@ -136,7 +135,6 @@ func (channelDataHandler) Meta() proto.Meta {
 func (channelDataHandler) Probers() []proto.Prober {
 	return []proto.Prober{{
 		Precedence: PrecedenceChannelData,
-		Pass1:      true,
 		// Channel numbers 0x4000-0x4FFF put the first byte in 0x40-0x4F.
 		First:    func(b byte) bool { return b >= 0x40 && b <= 0x4f },
 		Probe:    proto.ConsumeProbe(matchChannelData),
