@@ -88,7 +88,7 @@ func MergeAnalyzers(shards []*Analyzer) (*CaptureAnalysis, error) {
 	// times), so stream absorption can re-point each stream's
 	// per-direction span memos at the merged (full-evidence) spans.
 	for _, sh := range shards {
-		m.table.AbsorbSpans(sh.table)
+		m.table.AbsorbEvidence(sh.table)
 	}
 
 	// Rebuild the serial insertion order: each stream was created by

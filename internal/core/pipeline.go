@@ -96,11 +96,7 @@ type Options struct {
 }
 
 func (o Options) engine() *dpi.Engine {
-	k := o.MaxOffset
-	if k <= 0 {
-		k = dpi.DefaultMaxOffset
-	}
-	return &dpi.Engine{MaxOffset: k, Metrics: o.Metrics, Registry: o.Registry}
+	return &dpi.Engine{MaxOffset: o.MaxOffset, Metrics: o.Metrics, Registry: o.Registry}
 }
 
 // CaptureInput is one capture to analyze. It is an alias of

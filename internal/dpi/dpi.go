@@ -152,10 +152,10 @@ type Engine struct {
 // candidate extraction shifts to unless configured otherwise.
 const DefaultMaxOffset = 200
 
-// NewEngine returns an engine with the paper's default k and every
-// protocol of the default registry.
+// NewEngine returns an engine with the paper's default k (a zero
+// MaxOffset) and every protocol of the default registry.
 func NewEngine() *Engine {
-	return &Engine{MaxOffset: DefaultMaxOffset}
+	return &Engine{}
 }
 
 // maxOffset returns k: MaxOffset, or DefaultMaxOffset when unset.

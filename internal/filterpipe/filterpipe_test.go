@@ -288,4 +288,19 @@ func TestJudgeRules(t *testing.T) {
 	if d := res.Removed[sni.Key].Detail; d != "SNI sub."+DefaultSNIBlocklist[0]+" is blocklisted" {
 		t.Errorf("SNI detail = %q", d)
 	}
+
+	// With a zero window Run treats it as unknown, like the online
+	// check: only the window-independent rules remove anything.
+	res = Run(table, Config{})
+	for _, c := range cases {
+		rm, removed := res.Removed[c.s.Key]
+		if removed != (c.unknown != "") || rm.Rule != c.unknown {
+			t.Errorf("%v: Run removal with zero window %+v, want rule %q", c.s.Key, rm, c.unknown)
+		}
+	}
+	for k, rm := range res.Removed {
+		if rm.Rule != RuleSNI && rm.Rule != RulePort {
+			t.Errorf("%v: Run with zero window removed by %q", k, rm.Rule)
+		}
+	}
 }

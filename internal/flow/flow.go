@@ -258,14 +258,14 @@ func (t *Table) AddToStream(s *Stream, ts time.Time, dir Direction, src, dst End
 	s.spMemo[dir] = sp
 }
 
-// AbsorbSpans widens this table's cross-stream evidence with src's:
+// AbsorbEvidence widens this table's cross-stream evidence with src's:
 // every destination-3-tuple span and every address-pair first-seen
 // time, creating entries as needed. It is the first half of a
 // cross-table merge: both union commutatively (Extend is a min/max
 // fold, first-seen a min), so absorbing shard tables in any order
 // yields exactly the evidence a single table fed every packet would
 // hold.
-func (t *Table) AbsorbSpans(src *Table) {
+func (t *Table) AbsorbEvidence(src *Table) {
 	for tt, sp := range src.threeTuples {
 		dst, ok := t.threeTuples[tt]
 		if !ok {
@@ -313,7 +313,7 @@ func (t *Table) PairFirstSeen(key Key) (time.Time, bool) {
 // (absorbed, unioned) spans: the shard-local spans they referenced may
 // cover only one shard's packets, and the filter — and any structural
 // comparison against a serially-built table — must see the union.
-// Call AbsorbSpans for every source table before absorbing streams.
+// Call AbsorbEvidence for every source table before absorbing streams.
 func (t *Table) AbsorbStream(s *Stream) error {
 	if _, ok := t.streams[s.Key]; ok {
 		return fmt.Errorf("flow: duplicate stream %v in table merge", s.Key)
